@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: tier-1 build + tests, then the two sanitizer
-# configurations over the concurrency-heavy suites.
+# configurations over the concurrency-heavy suites and the multi-process
+# cluster harness. ALPS_SOAK=1 adds the chaos and shard soaks to both (ctest
+# inherits the variable).
 #
 #   scripts/verify.sh            # tier-1 + TSan + ASan/UBSan
 #   scripts/verify.sh --tier1    # tier-1 only (what CI gates on)
@@ -36,19 +38,6 @@ git archive HEAD | tar -x -C "$ARCHIVE_DIR"
 cmake -S "$ARCHIVE_DIR" -B "$ARCHIVE_DIR/build" >/dev/null
 cmake --build "$ARCHIVE_DIR/build" -j "$JOBS"
 
-echo "== multi-process smoke: 2 server processes over unix sockets =="
-./build/examples/example_distributed_dictionary driver 2 --smoke
-
-# Chaos soak (DESIGN.md §4.11) is opt-in: ALPS_SOAK=1 scripts/verify.sh
-# also runs the kill -9 / membership-churn harness, here and again under
-# each sanitizer below.
-if [[ "${ALPS_SOAK:-}" == 1 ]]; then
-  echo "== chaos soak: kill -9 + membership churn over unix sockets =="
-  ./build/examples/example_distributed_dictionary chaos 3 --ci
-  echo "== shard soak: live 2->3->4 shard split under traffic =="
-  ./build/examples/example_distributed_dictionary shard-soak --ci
-fi
-
 if [[ "$TIER1_ONLY" == 1 ]]; then
   echo "verify: tier-1 OK"
   exit 0
@@ -68,22 +57,22 @@ SAN_SUITES=(
 for san in thread address; do
   echo "== ALPS_SANITIZE=$san build + concurrency suites =="
   cmake -B "build-$san" -S . -DALPS_SANITIZE="$san" >/dev/null
-  cmake --build "build-$san" -j "$JOBS" --target "${SAN_SUITES[@]}"
+  cmake --build "build-$san" -j "$JOBS" --target "${SAN_SUITES[@]}" \
+    cluster_harness
   for t in "${SAN_SUITES[@]}"; do
     echo "-- [$san] $t"
     "build-$san/tests/$t" --gtest_brief=1 || {
       echo "verify: $san/$t FAILED"; exit 1; }
   done
-  if [[ "${ALPS_SOAK:-}" == 1 ]]; then
-    echo "-- [$san] chaos soak"
-    cmake --build "build-$san" -j "$JOBS" \
-      --target example_distributed_dictionary
-    "build-$san/examples/example_distributed_dictionary" chaos 3 --ci || {
-      echo "verify: $san/chaos FAILED"; exit 1; }
-    echo "-- [$san] shard-migration soak"
-    "build-$san/examples/example_distributed_dictionary" shard-soak --ci || {
-      echo "verify: $san/shard-soak FAILED"; exit 1; }
-  fi
+  # The multi-process scenarios; chaos and shard exit 77 (skipped) unless
+  # ALPS_SOAK=1.
+  for scenario in smoke chaos shard; do
+    echo "-- [$san] cluster_harness $scenario"
+    rc=0
+    "build-$san/tests/cluster_harness" "$scenario" || rc=$?
+    [[ $rc == 0 || $rc == 77 ]] || {
+      echo "verify: $san/$scenario FAILED"; exit 1; }
+  done
 done
 
 echo "verify: tier-1 + thread + address all OK"

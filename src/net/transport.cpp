@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include "core/error.h"
 #include "net/codec.h"
 
 namespace alps::net {
@@ -10,21 +9,6 @@ void Transport::post(NodeId src, NodeId dst, const FrameBuilder& frame) {
   // payload. This is the data plane's single gather (bytes_assembled);
   // stream transports override to skip it.
   post(Frame{src, dst, frame.build()});
-}
-
-void Transport::add_peer(NodeId id, const std::string& name,
-                         const std::string& address) {
-  (void)id;
-  (void)address;
-  raise(ErrorCode::kNetwork,
-        "this transport does not support dynamic membership (add_peer " +
-            name + ")");
-}
-
-bool Transport::remove_peer(NodeId id) {
-  (void)id;
-  raise(ErrorCode::kNetwork,
-        "this transport does not support dynamic membership (remove_peer)");
 }
 
 std::uint64_t Transport::add_membership_listener(MembershipListener listener) {

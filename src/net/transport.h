@@ -121,11 +121,7 @@ class Transport {
   /// True while a↔b is known unreachable: an active sim partition, or a
   /// socket peer whose connection is dead/in backoff. The RPC layer uses it
   /// to type a delivery failure as "partitioned" rather than plain timeout.
-  virtual bool is_partitioned(NodeId a, NodeId b) const {
-    (void)a;
-    (void)b;
-    return false;
-  }
+  virtual bool is_partitioned(NodeId a, NodeId b) const = 0;
 
   virtual std::size_t node_count() const = 0;
   virtual std::string node_name(NodeId id) const = 0;
@@ -134,7 +130,7 @@ class Transport {
   /// still queued or being delivered. The sim's version is exact (it owns
   /// both ends); a socket transport can only quiesce its own send queues —
   /// bytes in kernel buffers or the peer process are out of reach.
-  virtual void wait_quiescent() const {}
+  virtual void wait_quiescent() const = 0;
 
   // ---- dynamic membership (DESIGN.md §4.11) ----
   //
@@ -148,12 +144,12 @@ class Transport {
   /// or "host:port" for sockets; ignored by the sim, which revives or appends
   /// the node). Raises kNetwork if the backend cannot honor the request.
   virtual void add_peer(NodeId id, const std::string& name,
-                        const std::string& address);
+                        const std::string& address) = 0;
 
   /// Evicts `id` from the peer set: frames to/from it are dropped or lost
   /// from now on, its queued frames are counted lost, and its directory
   /// entries are removed. Returns false if the peer was not present.
-  virtual bool remove_peer(NodeId id);
+  virtual bool remove_peer(NodeId id) = 0;
 
   /// Membership-change hook: invoked (outside transport locks) after every
   /// add_peer / remove_peer, with `added` telling which. Nodes use it to

@@ -1,8 +1,8 @@
 // SocketTransport tests: real OS sockets (Unix-domain and TCP loopback)
 // inside one test process. Several transports — one per "node", each with
 // its own listener and directory replica — exercise the same code paths a
-// multi-process deployment uses (examples/distributed_dictionary.cpp and
-// the net_multiprocess_smoke ctest cover the actual process boundary).
+// multi-process deployment uses (tests/cluster_harness.cpp and the
+// net_multiprocess_smoke ctest cover the actual process boundary).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
