@@ -322,6 +322,7 @@ std::shared_ptr<CallState> Node::start_call(NodeId target,
   const auto now = std::chrono::steady_clock::now();
   auto overall = std::chrono::steady_clock::time_point::max();
   if (opts.deadline.count() > 0) overall = now + opts.deadline;
+  bool wake_timer = false;
   {
     std::scoped_lock lock(mu_);
     Pending p;
@@ -342,10 +343,13 @@ std::shared_ptr<CallState> Node::start_call(NodeId target,
     if (overall < due) due = overall;
     pending_.emplace(req_id, std::move(p));
     if (due != std::chrono::steady_clock::time_point::max()) {
+      // The retry thread sleeps until the heap top is due: only an earlier
+      // deadline needs to wake it.
+      wake_timer = timers_.empty() || due < timers_.top().due;
       timers_.push(TimerEntry{due, req_id});
     }
   }
-  timer_cv_.notify_all();
+  if (wake_timer) timer_cv_.notify_one();
   post_frame(target, std::move(payload));
   return state;
 }
@@ -438,7 +442,14 @@ std::vector<std::uint8_t> Node::finish_pending_locked(std::uint64_t req_id,
 void Node::retry_loop(const std::stop_token& st) {
   support::set_current_thread_name("net/retry");
   std::unique_lock lock(mu_);
+  const auto answered = [&](std::uint64_t req_id) {
+    auto it = pending_.find(req_id);
+    return it == pending_.end() || it->second.state->ready();
+  };
   while (!st.stop_requested()) {
+    // An answered call leaves its entry behind. Dropping those off the top
+    // makes the sleep below end at the earliest live deadline.
+    while (!timers_.empty() && answered(timers_.top().req_id)) timers_.pop();
     if (timers_.empty()) {
       timer_cv_.wait(lock, [&] {
         return st.stop_requested() || !timers_.empty();
@@ -447,18 +458,16 @@ void Node::retry_loop(const std::stop_token& st) {
     }
     const auto due = timers_.top().due;
     if (std::chrono::steady_clock::now() < due) {
+      // start_call notifies only for a deadline earlier than the top; only
+      // this thread pops, so the heap stays non-empty while it sleeps.
       timer_cv_.wait_until(lock, due, [&] {
-        return st.stop_requested() ||
-               (!timers_.empty() &&
-                timers_.top().due <= std::chrono::steady_clock::now());
+        return st.stop_requested() || timers_.top().due < due;
       });
       continue;
     }
     const std::uint64_t req_id = timers_.top().req_id;
     timers_.pop();
-    auto it = pending_.find(req_id);
-    if (it == pending_.end() || it->second.state->ready()) continue;  // stale
-    Pending& p = it->second;
+    Pending& p = pending_.find(req_id)->second;  // live: purged above
     const auto now = std::chrono::steady_clock::now();
     const bool attempts_left =
         p.retry &&
@@ -884,7 +893,9 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     return;
   }
   // Send the response from whichever thread completes the call (typically
-  // the object's manager at finish); posting a frame never blocks.
+  // the object's manager at finish). Posting a frame never blocks: on an
+  // idle socket link that thread writes it with MSG_DONTWAIT, and whatever
+  // the socket buffer does not take goes to the link's sender thread.
   handle.state()->on_complete([respond, wire_cause_of](CallState& state) {
     try {
       respond(WireCause::kOk, state.get(), "");

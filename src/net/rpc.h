@@ -44,8 +44,13 @@
 //
 //   * Client retries — a RetryPolicy retransmits an unanswered request with
 //     exponential backoff + jitter, driven by a per-Node retry timer thread.
-//     Failures surface as a typed RpcError (timeout, partitioned,
-//     object-not-found, remote-error) rather than an untyped hang.
+//     The thread sleeps until the earliest live deadline: a new call wakes
+//     it only when its deadline is earlier than every one it knows, and an
+//     answered call's stale timer is dropped before the next sleep, so a
+//     steady stream of answered calls costs it about one wakeup per
+//     attempt_timeout, not one per call. Failures surface as a typed
+//     RpcError (timeout, partitioned, object-not-found, remote-error)
+//     rather than an untyped hang.
 //   * Server-side at-most-once — a per-(caller, epoch) dedup table keyed by
 //     req_id. A retransmission of an executed request replays the cached
 //     response frame instead of re-invoking the entry body; one still in

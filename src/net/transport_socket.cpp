@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "core/error.h"
 #include "support/log.h"
@@ -37,33 +38,43 @@ void close_fd(int& fd) {
   }
 }
 
-/// Writes every iovec fully, advancing across partial writes. Returns false
-/// on a dead connection. MSG_NOSIGNAL: a peer closing mid-write must surface
-/// as EPIPE, not kill the process.
-bool send_all(int fd, std::vector<iovec>& iov) {
+/// Moves the write position `n` bytes into the iovec list from entry `idx`,
+/// stepping over fully written (and empty) entries.
+void advance_iov(std::vector<iovec>& iov, std::size_t& idx, std::size_t n) {
+  while (idx < iov.size() && (n > 0 || iov[idx].iov_len == 0)) {
+    if (iov[idx].iov_len <= n) {
+      n -= iov[idx].iov_len;
+      ++idx;
+    } else {
+      iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + n;
+      iov[idx].iov_len -= n;
+      n = 0;
+    }
+  }
+}
+
+/// Writes the iovec list from byte `written` on, advancing `written` across
+/// partial writes. Returns 0 when every byte is written, else the errno that
+/// stopped it: EAGAIN when MSG_DONTWAIT in `flags` met a full socket buffer,
+/// anything else a dead connection. MSG_NOSIGNAL: a peer closing mid-write
+/// must surface as EPIPE, not kill the process.
+int write_iov(int fd, std::vector<iovec>& iov, std::size_t& written,
+              int flags) {
   std::size_t idx = 0;
+  advance_iov(iov, idx, written);
   while (idx < iov.size()) {
     msghdr msg{};
     msg.msg_iov = iov.data() + idx;
     msg.msg_iovlen = std::min(iov.size() - idx, kIovBatch);
-    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | flags);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return errno == EWOULDBLOCK ? EAGAIN : errno;
     }
-    auto advanced = static_cast<std::size_t>(n);
-    while (advanced > 0) {
-      if (iov[idx].iov_len <= advanced) {
-        advanced -= iov[idx].iov_len;
-        ++idx;
-      } else {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + advanced;
-        iov[idx].iov_len -= advanced;
-        advanced = 0;
-      }
-    }
+    written += static_cast<std::size_t>(n);
+    advance_iov(iov, idx, static_cast<std::size_t>(n));
   }
-  return true;
+  return 0;
 }
 
 sockaddr_un make_unix_addr(const std::string& path) {
@@ -203,7 +214,7 @@ SocketTransport::~SocketTransport() {
       link->sender.join();
     }
     std::scoped_lock lock(link->mu);
-    close_fd(link->fd);
+    drop_connection_locked(*link);
   }
 
   // Readers: shutting the fd down unblocks the blocking read.
@@ -297,6 +308,7 @@ bool SocketTransport::remove_peer(NodeId id) {
     link->removed = true;
     drop_connection_locked(*link);
     link->cv.notify_all();
+    link->idle_cv.notify_all();
   }
   if (link->sender.joinable()) {
     link->sender.request_stop();
@@ -373,38 +385,62 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
   const std::size_t bytes = frame.size();
   bool lost = false;
   bool dropped = false;
-  {
-    std::scoped_lock lock(link->mu);
-    if (link->removed) {
-      dropped = true;  // racing eviction: same as "dst unknown"
-    } else if (link->queue.size() >= options_.max_queued_per_peer) {
-      lost = true;
-    } else if ((link->severed || link->unreachable) &&
-               (link->queue.size() >= options_.retransmit_budget_frames ||
-                link->queue_bytes + bytes > options_.retransmit_budget_bytes)) {
-      // The peer is down and the replay budget is full: past-budget frames
-      // are datagram loss, exactly what the RPC retry layer converges under.
-      lost = true;
-    } else {
-      link->queue.push_back(std::move(frame));
+  std::unique_lock lock(link->mu);
+  if (link->removed) {
+    dropped = true;  // racing eviction: same as "dst unknown"
+  } else if (link->queue.size() >= options_.max_queued_per_peer) {
+    lost = true;
+  } else if ((link->severed || link->unreachable) &&
+             (link->queue.size() >= options_.retransmit_budget_frames ||
+              link->queue_bytes + bytes > options_.retransmit_budget_bytes)) {
+    // The peer is down and the replay budget is full: past-budget frames
+    // are datagram loss, exactly what the RPC retry layer converges under.
+    lost = true;
+  } else if (link->fd >= 0 && link->queue.empty() && !link->sending &&
+             !link->severed && !link->unreachable && !link->replaying) {
+    // Connected and idle: write on the posting thread, sparing a hand-off
+    // to the sender. MSG_DONTWAIT keeps posting non-blocking; a frame the
+    // socket buffer cuts short becomes the queue front, and the sender
+    // writes its tail before anything posted after it.
+    const int fd = link->fd;
+    link->sending = true;
+    lock.unlock();
+    std::size_t written = 0;
+    const int err = send_frame(fd, frame, written, MSG_DONTWAIT);
+    lock.lock();
+    const bool torn = err != 0 && (err != EAGAIN || link->fd != fd);
+    end_write_locked(*link, fd, !torn);
+    if (torn) {
+      requeue_failed_locked(*link, std::move(frame), /*stopping=*/false);
+    } else if (err == EAGAIN) {
+      link->queue.push_front(std::move(frame));
       link->queue_bytes += bytes;
-      // Queued while the peer is down: this frame is riding out the blip,
-      // whether or not the sender observes the outage before it heals.
-      if (link->severed || link->unreachable) link->replaying = true;
-      if (!link->sender.joinable()) {
-        // Connect-on-demand: first frame towards this peer starts its
-        // sender, which owns the connection lifecycle from here on. Raw
-        // pointer is safe: remove_peer / ~SocketTransport join the sender
-        // before the last shared_ptr can drop.
-        PeerLink* raw = link.get();
-        link->sender = std::jthread(
-            [this, raw](std::stop_token st) { sender_loop(st, raw); });
-      }
-      link->cv.notify_all();
+      link->front_written = written;
     }
+    // Frames that queued behind this write, or its own tail: the sender's.
+    if (!link->queue.empty()) link->cv.notify_all();
+  } else {
+    link->queue.push_back(std::move(frame));
+    link->queue_bytes += bytes;
+    // Queued while the peer is down: this frame is riding out the blip,
+    // whether or not the sender observes the outage before it heals.
+    if (link->severed || link->unreachable) link->replaying = true;
+    if (!link->sender.joinable()) {
+      // Connect-on-demand: first frame towards this peer starts its
+      // sender, which owns the connection lifecycle from here on. Raw
+      // pointer is safe: remove_peer / ~SocketTransport join the sender
+      // before the last shared_ptr can drop.
+      PeerLink* raw = link.get();
+      link->sender = std::jthread(
+          [this, raw](std::stop_token st) { sender_loop(st, raw); });
+    }
+    // A write in progress hands the queue on when it ends: the sender
+    // loops, an inline writer notifies. Otherwise wake the sender.
+    if (!link->sending) link->cv.notify_all();
   }
+  lock.unlock();
   if (dropped) {
-    std::scoped_lock lock(mu_);
+    std::scoped_lock slock(mu_);
     ++stats_.frames_dropped;
   }
   if (lost) count_lost(1, bytes);
@@ -460,6 +496,7 @@ bool SocketTransport::connect_locked(PeerLink& link) {
     return false;
   }
   link.fd = fd;
+  link.front_written = 0;  // a fresh stream starts at a frame boundary
   link.unreachable = false;
   link.backoff = std::chrono::milliseconds(0);
   return true;
@@ -471,6 +508,7 @@ void SocketTransport::arm_backoff_locked(PeerLink& link) {
                      ? options_.connect_backoff_initial
                      : std::min(link.backoff * 2, options_.connect_backoff_max);
   link.next_attempt = std::chrono::steady_clock::now() + link.backoff;
+  link.idle_cv.notify_all();  // wait_quiescent: parked, not draining
 }
 
 void SocketTransport::drop_connection_locked(PeerLink& link) {
@@ -490,6 +528,28 @@ void SocketTransport::end_write_locked(PeerLink& link, int fd, bool ok) {
   } else if (!ok) {
     close_fd(link.fd);
   }
+  link.idle_cv.notify_all();  // wait_quiescent
+}
+
+void SocketTransport::requeue_failed_locked(PeerLink& link, FrameBuilder frame,
+                                            bool stopping) {
+  if (link.removed || link.severed || stopping) {
+    // The frame left the queue for its write, so neither remove_peer's drain
+    // nor the severed park can see it: counting it here is its only loss
+    // accounting.
+    count_lost(1, frame.size());
+    return;
+  }
+  // The peer's reassembler drops a torn frame with the connection, so the
+  // frame replays whole, at the front to keep posted order. Requeue, then
+  // trim: whether it survives or is tail-dropped, it is owned by exactly one
+  // accounting path (replay, or trim's count_lost) — never both, never
+  // neither. The backoff paces a peer that accepts and immediately dies.
+  link.queue_bytes += frame.size();
+  link.queue.push_front(std::move(frame));
+  link.front_written = 0;
+  arm_backoff_locked(link);
+  park_and_trim_locked(link);
 }
 
 void SocketTransport::trim_queue_locked(PeerLink& link) {
@@ -510,10 +570,10 @@ void SocketTransport::trim_queue_locked(PeerLink& link) {
 void SocketTransport::park_and_trim_locked(PeerLink& link) {
   link.replaying = true;
   trim_queue_locked(link);
-  link.cv.notify_all();  // wait_quiescent: parked, not draining
 }
 
-bool SocketTransport::send_frame(int fd, const FrameBuilder& frame) {
+int SocketTransport::send_frame(int fd, const FrameBuilder& frame,
+                                std::size_t& written, int flags) {
   // Stream chunk = 12-byte header + the frame's scatter segments, handed to
   // sendmsg as one iovec list: the writev path. No contiguous frame is ever
   // assembled on this side of the kernel boundary.
@@ -527,16 +587,17 @@ bool SocketTransport::send_frame(int fd, const FrameBuilder& frame) {
   for (const auto& s : segments) {
     iov.push_back(iovec{const_cast<void*>(s.data), s.size});
   }
-  if (!send_all(fd, iov)) return false;
-  frame.note_sent_scattered();
-  return true;
+  const int err = write_iov(fd, iov, written, flags);
+  if (err == 0) frame.note_sent_scattered();
+  return err;
 }
 
 bool SocketTransport::send_hello(int fd) {
   std::vector<iovec> iov;
   iov.push_back(iovec{const_cast<std::uint8_t*>(hello_bytes_.data()),
                       hello_bytes_.size()});
-  return send_all(fd, iov);
+  std::size_t written = 0;
+  return write_iov(fd, iov, written, 0) == 0;
 }
 
 void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
@@ -555,10 +616,13 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
   };
   for (;;) {
     if (link->removed) return;  // remove_peer counts the queue itself
-    if (link->queue.empty()) {
-      if (st.stop_requested()) return;
+    if (link->queue.empty() || link->sending) {
+      // Nothing to write, or a poster is writing inline: it notifies when it
+      // leaves frames behind, and popping before then would break FIFO.
+      if (st.stop_requested() && link->queue.empty()) return;
       link->cv.wait(lock, [&] {
-        return st.stop_requested() || link->removed || !link->queue.empty();
+        return link->removed || (!link->queue.empty() && !link->sending) ||
+               (st.stop_requested() && link->queue.empty());
       });
       continue;
     }
@@ -619,36 +683,17 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
     }
     FrameBuilder frame = std::move(link->queue.front());
     link->queue.pop_front();
-    const std::size_t frame_bytes = frame.size();
-    link->queue_bytes -= frame_bytes;
+    link->queue_bytes -= frame.size();
+    std::size_t written = std::exchange(link->front_written, 0);
     link->sending = true;
     const int fd = link->fd;
     lock.unlock();
-    const bool ok = send_frame(fd, frame);
+    const bool ok = send_frame(fd, frame, written, 0) == 0;
     lock.lock();
     end_write_locked(*link, fd, ok);
     if (!ok) {
-      // The connection died under this frame (possibly mid-frame — the
-      // peer's reassembler drops the torn tail with the connection). Requeue
-      // it at the front so replay preserves posted order; the backoff paces
-      // a peer that accepts and immediately dies.
-      if (link->removed || link->severed || st.stop_requested()) {
-        // The in-flight frame was already popped, so neither remove_peer's
-        // drain nor the severed park can see it — counting it here is its
-        // only loss accounting.
-        count_lost(1, frame_bytes);
-      } else {
-        // Front-requeue, then trim: the requeued frame re-enters the parked
-        // queue *before* the budget check, so whether it survives or is
-        // tail-dropped it is owned by exactly one accounting path (replay,
-        // or trim's count_lost) — never both, never neither.
-        link->queue.push_front(std::move(frame));
-        link->queue_bytes += frame_bytes;
-        arm_backoff_locked(*link);
-        park_and_trim_locked(*link);
-      }
+      requeue_failed_locked(*link, std::move(frame), st.stop_requested());
     }
-    link->cv.notify_all();  // wait_quiescent
   }
 }
 
@@ -845,6 +890,7 @@ void SocketTransport::sever(NodeId peer) {
     if (!link->queue.empty()) link->replaying = true;
     drop_connection_locked(*link);
     link->cv.notify_all();
+    link->idle_cv.notify_all();
   }
   // Inbound side of the cut: close streams the peer already has open.
   std::vector<std::shared_ptr<Inbound>> to_close;
@@ -917,7 +963,7 @@ void SocketTransport::wait_quiescent() const {
   }
   for (const auto& link : links) {
     std::unique_lock lock(link->mu);
-    link->cv.wait(lock, [&] {
+    link->idle_cv.wait(lock, [&] {
       // Parked frames (sever / backoff) count as quiescent: nothing is
       // moving until the peer comes back.
       return (link->queue.empty() && !link->sending) || link->severed ||

@@ -31,6 +31,10 @@
 //   * Outbound links are created on demand: the first post() towards a peer
 //     starts its sender thread, which connects lazily (sending its own
 //     HELLO first) and reconnects with exponential backoff after failures.
+//     Once a link is connected and idle, post() writes the frame on the
+//     posting thread itself (non-blocking); the sender thread takes over
+//     only a frame the socket buffer would not take, and what queues behind
+//     a write in progress or an outage.
 //     While a peer is down, queued frames survive up to the retransmit
 //     budget (frames and bytes) and replay in order on reconnect — a TCP
 //     blip no longer needs the RPC layer's full backoff round-trip. Frames
@@ -43,8 +47,8 @@
 //     every connection after a best-effort drain of queued frames.
 //
 // Zero-copy send path. post(src, dst, FrameBuilder) never builds the frame:
-// the sender thread hands the builder's scatter-gather segment list to
-// sendmsg() (writev semantics) behind the 12-byte stream header, so the
+// whichever thread writes it hands the builder's scatter-gather segment list
+// to sendmsg() (writev semantics) behind the 12-byte stream header, so the
 // data plane's `bytes_assembled` counter stays at zero for every frame this
 // transport sends — the slices' single remaining copy happens inside the
 // kernel, on the way to the wire.
@@ -140,8 +144,8 @@ class SocketTransport final : public Transport {
   void set_handler(NodeId node, Handler handler) override;
 
   void post(Frame frame) override;
-  /// Scatter-gather post: queued in builder form; the sender thread writes
-  /// the segment list directly (sendmsg), never assembling the frame.
+  /// Scatter-gather post: the segment list goes to sendmsg directly, inline
+  /// or from the queue (builder form), never assembling the frame.
   void post(NodeId src, NodeId dst, const FrameBuilder& frame) override;
 
   TransportStats transport_stats() const override;
@@ -193,12 +197,18 @@ class SocketTransport final : public Transport {
     NodeId id = 0;
     SocketAddress address;
     std::mutex mu;
-    std::condition_variable cv;
+    std::condition_variable cv;       ///< wakes the sender thread
+    std::condition_variable idle_cv;  ///< wakes wait_quiescent
     std::deque<FrameBuilder> queue;
     std::size_t queue_bytes = 0;  ///< payload bytes across `queue`
+    /// Stream bytes of queue.front() already on the current connection (an
+    /// inline write the socket buffer cut short); its tail goes out first.
+    std::size_t front_written = 0;
     int fd = -1;
     bool severed = false;
-    bool sending = false;       ///< sender is writing to `fd` outside mu
+    /// A thread (the sender, or a poster writing inline) is writing to `fd`
+    /// outside mu. Serializes writes, which keeps link FIFO.
+    bool sending = false;
     bool unreachable = false;   ///< last connect round failed (in backoff)
     bool removed = false;       ///< evicted by remove_peer; terminal
     bool replaying = false;     ///< queue survived a dead connection
@@ -228,7 +238,7 @@ class SocketTransport final : public Transport {
   /// Arms the exponential reconnect backoff (same schedule as a failed
   /// connect round). Caller holds link.mu.
   void arm_backoff_locked(PeerLink& link);
-  /// Drops the outbound connection. While the sender is writing to it
+  /// Drops the outbound connection. While a thread is writing to it
   /// outside mu, the socket is only shut down and detached (link.fd = -1):
   /// the write ends, and end_write_locked closes the fd, so its number
   /// cannot be reused under the write. Caller holds link.mu.
@@ -236,6 +246,11 @@ class SocketTransport final : public Transport {
   /// Back under link.mu after writing to `fd` outside it: closes `fd` if
   /// the write failed or the connection was dropped meanwhile.
   void end_write_locked(PeerLink& link, int fd, bool ok);
+  /// Back under link.mu after the connection died under `frame`: counts it
+  /// lost if the link is going away (`stopping`, severed, removed), else
+  /// requeues it whole at the front, arms the backoff and parks the queue.
+  void requeue_failed_locked(PeerLink& link, FrameBuilder frame,
+                             bool stopping);
   /// Tail-drops frames past the retransmit budget, counting them lost.
   /// Caller holds link.mu.
   void trim_queue_locked(PeerLink& link);
@@ -246,8 +261,12 @@ class SocketTransport final : public Transport {
   /// drain, or remove_peer — each of which counts it lost exactly once.
   /// Caller holds link.mu.
   void park_and_trim_locked(PeerLink& link);
-  /// Sends one frame over the link's fd as header + scatter segments.
-  bool send_frame(int fd, const FrameBuilder& frame);
+  /// Writes one frame as header + scatter segments, from stream byte
+  /// `written` on, advancing `written`. Returns 0 once it is all written,
+  /// else the errno that stopped it: EAGAIN when MSG_DONTWAIT in `flags`
+  /// met a full socket buffer, anything else a dead connection.
+  int send_frame(int fd, const FrameBuilder& frame, std::size_t& written,
+                 int flags);
   /// Writes our HELLO as the first bytes of a fresh connection.
   bool send_hello(int fd);
   /// Allowlist check: version, token, claimed node known and not us.

@@ -364,11 +364,23 @@ class Cluster {
     if (!sharded_) transport_->directory().add(store_name(i), id);
   }
 
-  /// Servers are up once their advertised listener exists.
+  /// Servers are up once their advertised listener exists. A server that
+  /// exits first fails the wait at once, with its exit status.
   void wait_up() {
     const auto deadline = std::chrono::steady_clock::now() + 15s;
     for (const auto& [i, pid] : pids_) {
       while (!std::filesystem::exists(sock(i))) {
+        int status = 0;
+        if (::waitpid(pid, &status, WNOHANG) == pid) {
+          const std::string why =
+              "server " + std::to_string(i) + " exited during start-up (" +
+              (WIFEXITED(status)
+                   ? "exit " + std::to_string(WEXITSTATUS(status))
+                   : "signal " + std::to_string(WTERMSIG(status))) +
+              ")";
+          pids_.erase(pids_.find(i));  // reaped: teardown must not kill it
+          throw std::runtime_error(why);
+        }
         if (std::chrono::steady_clock::now() > deadline) {
           throw std::runtime_error("server " + std::to_string(i) +
                                    " never came up");

@@ -125,6 +125,14 @@ TEST(NetFailure, CancelledCallFailsTypedAndLateResponseIsDropped) {
   auto rb = b.result();
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(rb.value()[0].as_int(), 32);
+  // The two bodies may finish in either order, so A's response can land
+  // after B's: wait for it rather than assume it came first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rig.client.client_stats().stale_responses == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(rig.client.client_stats().stale_responses, 1u)
       << "the cancelled call's response must be dropped, not matched";
 }
@@ -195,6 +203,31 @@ TEST(NetFailure, DeadlineCapsUnlimitedRetries) {
   EXPECT_EQ(r.error().cause(), RpcCause::kPartitioned);
   EXPECT_GE(elapsed, std::chrono::milliseconds(75));
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(NetFailure, EarlierDeadlineDoesNotWaitBehindALaterRetryTimer) {
+  // The retry thread sleeps until the earliest timer it knows of. A call
+  // with a nearer deadline, started while it sleeps, must cut that sleep
+  // short instead of firing when the older timer does.
+  Rig rig;
+  rig.net.partition(rig.client.id(), rig.server.id());
+  RetryPolicy slow;
+  slow.attempt_timeout = std::chrono::seconds(1);
+  CallOptions slow_opts;
+  slow_opts.retry = slow;
+  RpcHandle a = rig.remote.async_call("Echo", vals(1), slow_opts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto begin = std::chrono::steady_clock::now();
+  auto r = rig.remote.call("Echo", vals(2),
+                           rig.deadline(std::chrono::milliseconds(20)));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - begin);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().cause(), RpcCause::kPartitioned);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500))
+      << "20-ms deadline fired after " << elapsed.count() << " ms";
+  a.cancel();
 }
 
 TEST(NetFailure, PartitionIsPairwise) {

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/alps.h"
@@ -726,6 +728,184 @@ TEST(SocketTransport, FrameAccountingConservesAcrossBudgetSeverAndEviction) {
   EXPECT_EQ(a.frames_posted,
             b.frames_delivered + a.frames_lost + a.frames_dropped)
       << "conservation across sever + eviction + post-removal drop";
+}
+
+// ---- inline send on an idle link (DESIGN.md §4.10) ------------------------
+
+/// A frame tagged (poster, seq), padded to `size` bytes (at least 5).
+std::vector<std::uint8_t> tagged_frame(std::uint8_t poster, std::uint32_t seq,
+                                       std::size_t size = 5) {
+  std::vector<std::uint8_t> bytes(std::max<std::size_t>(size, 5), 0);
+  bytes[0] = poster;
+  std::memcpy(bytes.data() + 1, &seq, sizeof(seq));
+  return bytes;
+}
+
+std::pair<std::uint8_t, std::uint32_t> frame_tag(const Buffer& payload) {
+  std::uint32_t seq = 0;
+  std::memcpy(&seq, payload.data() + 1, sizeof(seq));
+  return {payload.data()[0], seq};
+}
+
+TEST(SocketTransport, ConcurrentPostersKeepLinkFifo) {
+  // Four posting threads on one link: a post writes inline when the link is
+  // idle and queues behind a write in progress, so the two paths interleave.
+  // Every poster's frames must still arrive in the order it posted them.
+  constexpr int kPosters = 4;
+  constexpr std::uint32_t kFrames = 5000;
+  SocketPaths paths("fifo");
+  auto a_opts = uds_options(paths, 1, {1, 2});
+  a_opts.max_queued_per_peer = kPosters * kFrames;  // no tail-drop here
+  SocketTransport ta(a_opts);
+  SocketTransport tb(uds_options(paths, 2, {1, 2}));
+  ta.add_node("a");
+  tb.add_node("b");
+
+  std::vector<std::int64_t> last(kPosters, -1);
+  std::atomic<int> out_of_order{0};
+  std::atomic<std::uint32_t> delivered{0};
+  support::Event all;
+  tb.set_handler(2, [&](NodeId, Buffer payload) {
+    const auto [poster, seq] = frame_tag(payload);  // one reader: no lock
+    if (static_cast<std::int64_t>(seq) != last[poster] + 1) ++out_of_order;
+    last[poster] = seq;
+    if (++delivered == kPosters * kFrames) all.set();
+  });
+
+  std::vector<std::thread> posters;
+  for (int p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&ta, p] {
+      for (std::uint32_t i = 0; i < kFrames; ++i) {
+        ta.post(Frame{1, 2, tagged_frame(static_cast<std::uint8_t>(p), i)});
+      }
+    });
+  }
+  for (auto& t : posters) t.join();
+  ASSERT_TRUE(all.wait_for(60s)) << delivered.load() << " delivered";
+  EXPECT_EQ(out_of_order.load(), 0) << "link FIFO broken";
+  EXPECT_EQ(ta.transport_stats().frames_lost, 0u);
+}
+
+TEST(SocketTransport, PostStaysNonBlockingWhenThePeerStopsReading) {
+  // The receiver's handler blocks, so its reader stops draining the socket
+  // and the socket buffer fills. A post must never wait for the peer: the
+  // inline write is MSG_DONTWAIT, and what it cannot write goes to the
+  // sender thread, which writes the rest of a frame cut short mid-way. Once
+  // the peer reads again, every frame arrives intact and in order.
+  constexpr std::uint32_t kFrames = 32;     // 256 KiB each: 8 MiB in all,
+  constexpr std::size_t kSize = 256 << 10;  // and larger than the socket
+                                            // buffer, so writes get cut
+  SocketPaths paths("stall");
+  SocketTransport ta(uds_options(paths, 1, {1, 2}));
+  SocketTransport tb(uds_options(paths, 2, {1, 2}));
+  ta.add_node("a");
+  tb.add_node("b");
+
+  support::Event entered, release;
+  std::mutex mu;
+  std::vector<std::uint32_t> got;
+  support::Event all;
+  tb.set_handler(2, [&](NodeId, Buffer payload) {
+    if (frame_tag(payload).second == 0) {
+      entered.set();
+      release.wait();
+    }
+    std::scoped_lock lock(mu);
+    EXPECT_EQ(payload.size(), kSize);
+    got.push_back(frame_tag(payload).second);
+    if (got.size() == kFrames) all.set();
+  });
+  ta.post(Frame{1, 2, tagged_frame(0, 0, kSize)});
+  ASSERT_TRUE(entered.wait_for(30s));
+
+  std::chrono::steady_clock::duration slowest{};
+  support::Event posted;
+  std::thread poster([&] {
+    for (std::uint32_t i = 1; i < kFrames; ++i) {
+      auto bytes = tagged_frame(0, i, kSize);
+      const auto begin = std::chrono::steady_clock::now();
+      ta.post(Frame{1, 2, std::move(bytes)});
+      slowest = std::max(slowest, std::chrono::steady_clock::now() - begin);
+    }
+    posted.set();
+  });
+  const bool posted_in_time = posted.wait_for(30s);
+  release.set();  // unblock the peer either way, so the poster can finish
+  poster.join();
+  EXPECT_TRUE(posted_in_time) << "a post blocked on the stalled peer";
+  EXPECT_LT(slowest, 250ms) << "slowest post took "
+                            << std::chrono::duration_cast<
+                                   std::chrono::milliseconds>(slowest)
+                                   .count()
+                            << " ms";
+
+  ASSERT_TRUE(all.wait_for(60s));
+  std::scoped_lock lock(mu);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(got[i], i) << "frames must arrive in posted order";
+  }
+  EXPECT_EQ(ta.transport_stats().frames_lost, 0u);
+}
+
+TEST(SocketTransport, LinkLeversRacingInlineWritesConserveFrames) {
+  // sever / restore / disconnect and finally remove_peer race three posting
+  // threads whose frames mostly go out inline (mixed sizes, so some writes
+  // are cut short and handed to the sender mid-frame). Run under TSan, this
+  // is the race check for the inline path; in every build each posted frame
+  // must end delivered, lost or dropped exactly once.
+  SocketPaths paths("levers");
+  auto a_opts = uds_options(paths, 1, {1, 2});
+  a_opts.connect_backoff_initial = 1ms;
+  a_opts.connect_backoff_max = 5ms;
+  SocketTransport ta(a_opts);
+  SocketTransport tb(uds_options(paths, 2, {1, 2}));
+  ta.add_node("a");
+  tb.add_node("b");
+  tb.set_handler(2, [](NodeId, Buffer) {});
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> posters;
+  for (int p = 0; p < 3; ++p) {
+    posters.emplace_back([&, p] {
+      for (std::uint32_t i = 0; !stop.load(); ++i) {
+        const std::size_t size = i % 16 == 0 ? 96 << 10 : 64;
+        ta.post(Frame{1, 2, tagged_frame(static_cast<std::uint8_t>(p), i,
+                                         size)});
+        if (i % 64 == 0) std::this_thread::sleep_for(100us);
+      }
+    });
+  }
+  for (int round = 0; round < 40; ++round) {
+    std::this_thread::sleep_for(2ms);
+    ta.disconnect(2);
+    std::this_thread::sleep_for(2ms);
+    ta.sever(2);
+    std::this_thread::sleep_for(1ms);
+    ta.restore(2);
+  }
+  std::this_thread::sleep_for(2ms);
+  ta.remove_peer(2);  // the posters are still going: the rest are drops
+  std::this_thread::sleep_for(2ms);
+  stop = true;
+  for (auto& t : posters) t.join();
+
+  // B's readers may still be draining bytes already in its socket buffers.
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  auto accounted = [&] {
+    const auto a = ta.transport_stats();
+    return tb.transport_stats().frames_delivered + a.frames_lost +
+           a.frames_dropped;
+  };
+  while (accounted() != ta.transport_stats().frames_posted &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  const auto a = ta.transport_stats();
+  EXPECT_GT(a.frames_dropped, 0u) << "no post raced the eviction";
+  EXPECT_EQ(a.frames_posted, accounted())
+      << "posted=" << a.frames_posted
+      << " delivered=" << tb.transport_stats().frames_delivered
+      << " lost=" << a.frames_lost << " dropped=" << a.frames_dropped;
 }
 
 }  // namespace
