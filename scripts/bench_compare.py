@@ -2,24 +2,25 @@
 """Compare two checkouts on the ALPS call benchmark (perfbench/run.py).
 
     python3 scripts/bench_compare.py --base ../parent --change . \\
-        --workloads dict_rpc --seed 1 --pairs 10 [--seconds 30] [--trace 0]
-        [--claim dict_rpc:cpu_us_per_op] [--save runs.json]
-    python3 scripts/bench_compare.py --load runs.json [--claim ...]
+        --workloads dict_rpc --seed 1 --pairs 10 [--trace 0] [--save runs.json]
+    python3 scripts/bench_compare.py --load runs.json
 
 Each pair runs `python3 perfbench/run.py` once in each checkout, one after
-the other; which side goes first alternates from pair to pair. The first run
-in a checkout also builds its benchmark binary (run.py does that itself).
+the other, for BENCHMARK.json's run_seconds; which side goes first alternates
+from pair to pair. The first run in a checkout also builds its benchmark
+binary (run.py does that itself).
 This script only reads run.py's two output lines; it writes nothing into
 either checkout beyond what run.py writes there.
 
 For every workload and metric it prints each side's median and quartiles
-and how many pairs the change won (ties count for neither side), and for
-every run its steal ticks, failed calls and correctness. With --trace 0 the
-metrics are BENCHMARK.json's end-to-end ones and each gets a verdict:
+and how many pairs the change won (ties, and pairs where either run failed,
+count for neither side), and for every run its steal ticks, failed calls and
+correctness. With --trace 0 the metrics are BENCHMARK.json's end-to-end ones
+and each gets a verdict:
 
-  gain        the change won at least 9 in 10 pairs and its median is better
-              than the base median by more than the base's interquartile
-              range;
+  gain        the change won at least 9 in 10 of the pairs run and its median
+              is better than the base median by more than the base's
+              interquartile range;
   unresolved  either side's interquartile range is wider than the metric's
               bound in BENCHMARK.json, and not every change run beats every
               base run: the runs cannot tell a change within the bound;
@@ -27,9 +28,8 @@ metrics are BENCHMARK.json's end-to-end ones and each gets a verdict:
               bound;
   holds       none of the above.
 
---claim workload:metric (repeatable) marks the metrics a change claims to
-improve; the exit status is 1 when a claimed metric is not a gain, when any
-metric is a regression, or when a run failed or was incorrect.
+The exit status is 1 when any metric is a regression, or when a run failed
+or was incorrect.
 """
 import argparse
 import json
@@ -79,12 +79,13 @@ def better(a, b, direction):
     return a > b if direction == "higher" else a < b
 
 
-def verdict(base, change, spec, claimed):
-    """Applies the rule in the module docstring to one metric's runs."""
+def verdict(base, change, pairs, spec):
+    """Applies the rule in the module docstring to one metric's runs: `base`
+    and `change` hold the pairs where both runs succeeded, out of `pairs`
+    run."""
     direction, bound = spec["better"], spec.get("bound")
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
-    pairs = min(len(base), len(change))
     wins = sum(better(c, b, direction) for b, c in zip(base, change))
     # Signed relative change, positive = worse.
     worse = (cmed - bmed) / bmed if bmed else 0.0
@@ -101,8 +102,6 @@ def verdict(base, change, spec, claimed):
         v = "regression"
     else:
         v = "holds"
-    if claimed and v != "gain":
-        v += " (claim not met)"
     return {"base": (bq1, bmed, bq3), "change": (cq1, cmed, cq3),
             "wins": wins, "pairs": pairs, "delta": -worse if direction ==
             "higher" else worse, "verdict": v}
@@ -112,7 +111,7 @@ def fmt(x):
     return f"{x:.4g}"
 
 
-def report(runs, specs, claims):
+def report(runs, specs):
     """Prints the tables; returns True when the comparison passes."""
     ok = True
     for workload, sides in runs.items():
@@ -140,16 +139,15 @@ def report(runs, specs, claims):
                      name in c["metrics"]]
             if not pairs:
                 continue
-            claimed = f"{workload}:{name}" in claims
-            v = verdict([p[0] for p in pairs], [p[1] for p in pairs], spec,
-                        claimed)
+            run = min(len(sides["base"]), len(sides["change"]))
+            v = verdict([p[0] for p in pairs], [p[1] for p in pairs], run,
+                        spec)
             b, c = v["base"], v["change"]
             print(f"  {name:38} {fmt(b[1]):>10} [{fmt(b[0])}, {fmt(b[2])}]"
                   f"{'':>2} {fmt(c[1]):>10} [{fmt(c[0])}, {fmt(c[2])}]"
                   f"{'':>2} {v['delta'] * 100:+7.1f}% "
                   f"{v['wins']:>2}/{v['pairs']:<2}  {v['verdict']}")
-            if v["verdict"].startswith("regression") or \
-                    "claim not met" in v["verdict"]:
+            if v["verdict"] == "regression":
                 ok = False
     return ok
 
@@ -161,10 +159,7 @@ def main():
     ap.add_argument("--workloads", default="rw_mix,dict_zipf,dict_rpc")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--claim", action="append", default=[],
-                    help="workload:metric the change claims to improve")
     ap.add_argument("--save", help="write every run to this JSON file")
     ap.add_argument("--load", help="report on runs saved with --save")
     args = ap.parse_args()
@@ -177,7 +172,7 @@ def main():
         if not (args.base and args.change):
             ap.error("--base and --change are required unless --load is given")
         with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-            seconds = args.seconds or json.load(f)["run_seconds"]
+            seconds = json.load(f)["run_seconds"]
         trace = args.trace
         runs = {}
         for w in args.workloads.split(","):
@@ -200,7 +195,7 @@ def main():
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
         bench = json.load(f)
     specs = bench["per_layer"] if trace else bench["end_to_end"]
-    return 0 if report(runs, specs, set(args.claim)) else 1
+    return 0 if report(runs, specs) else 1
 
 
 if __name__ == "__main__":

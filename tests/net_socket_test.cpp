@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -850,9 +851,12 @@ TEST(SocketTransport, PostStaysNonBlockingWhenThePeerStopsReading) {
 TEST(SocketTransport, LinkLeversRacingInlineWritesConserveFrames) {
   // sever / restore / disconnect and finally remove_peer race three posting
   // threads whose frames mostly go out inline (mixed sizes, so some writes
-  // are cut short and handed to the sender mid-frame). Run under TSan, this
+  // are cut short and handed to the sender mid-frame). The posters pause
+  // between frames so the link keeps going idle: posting flat out, the
+  // queue never drains and every frame takes the sender. Run under TSan, this
   // is the race check for the inline path; in every build each posted frame
-  // must end delivered, lost or dropped exactly once.
+  // must end delivered, lost or dropped exactly once, and every frame one
+  // connection delivers must be whole and in posted order.
   SocketPaths paths("levers");
   auto a_opts = uds_options(paths, 1, {1, 2});
   a_opts.connect_backoff_initial = 1ms;
@@ -861,17 +865,36 @@ TEST(SocketTransport, LinkLeversRacingInlineWritesConserveFrames) {
   SocketTransport tb(uds_options(paths, 2, {1, 2}));
   ta.add_node("a");
   tb.add_node("b");
-  tb.set_handler(2, [](NodeId, Buffer) {});
+  constexpr int kPosters = 3;
+  const auto frame_size = [](std::uint32_t seq) -> std::size_t {
+    return seq % 16 == 0 ? 96 << 10 : 64;
+  };
+  std::atomic<int> out_of_order{0};
+  std::atomic<int> wrong_size{0};
+  tb.set_handler(2, [&](NodeId, Buffer payload) {
+    // Each inbound connection has its own reader thread. Within one
+    // connection a poster's sequence numbers only rise (frames lost to a
+    // cut leave gaps); across connections they need not, since an old
+    // connection's reader may still be draining when the next one delivers.
+    thread_local std::array<std::int64_t, kPosters> last{-1, -1, -1};
+    const auto [poster, seq] = frame_tag(payload);
+    if (poster >= kPosters || payload.size() != frame_size(seq)) {
+      ++wrong_size;
+      return;
+    }
+    if (static_cast<std::int64_t>(seq) <= last[poster]) ++out_of_order;
+    last[poster] = seq;
+  });
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> posters;
-  for (int p = 0; p < 3; ++p) {
+  for (int p = 0; p < kPosters; ++p) {
     posters.emplace_back([&, p] {
       for (std::uint32_t i = 0; !stop.load(); ++i) {
-        const std::size_t size = i % 16 == 0 ? 96 << 10 : 64;
+        const std::size_t size = frame_size(i);
         ta.post(Frame{1, 2, tagged_frame(static_cast<std::uint8_t>(p), i,
                                          size)});
-        if (i % 64 == 0) std::this_thread::sleep_for(100us);
+        std::this_thread::sleep_for(5us);
       }
     });
   }
@@ -882,6 +905,12 @@ TEST(SocketTransport, LinkLeversRacingInlineWritesConserveFrames) {
     ta.sever(2);
     std::this_thread::sleep_for(1ms);
     ta.restore(2);
+    // restore() on a live link changes nothing but wakes the sender while
+    // posters write inline: it must not pop while a write is in progress.
+    for (int k = 0; k < 5000; ++k) {
+      ta.restore(2);
+      std::this_thread::yield();
+    }
   }
   std::this_thread::sleep_for(2ms);
   ta.remove_peer(2);  // the posters are still going: the rest are drops
@@ -901,6 +930,8 @@ TEST(SocketTransport, LinkLeversRacingInlineWritesConserveFrames) {
     std::this_thread::sleep_for(5ms);
   }
   const auto a = ta.transport_stats();
+  EXPECT_EQ(out_of_order.load(), 0) << "link FIFO broken within a connection";
+  EXPECT_EQ(wrong_size.load(), 0) << "a delivered frame was not whole";
   EXPECT_GT(a.frames_dropped, 0u) << "no post raced the eviction";
   EXPECT_EQ(a.frames_posted, accounted())
       << "posted=" << a.frames_posted
