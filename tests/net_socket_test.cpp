@@ -750,8 +750,9 @@ std::pair<std::uint8_t, std::uint32_t> frame_tag(const Buffer& payload) {
 
 TEST(SocketTransport, ConcurrentPostersKeepLinkFifo) {
   // Four posting threads on one link: a post writes inline when the link is
-  // idle and queues behind a write in progress, so the two paths interleave.
-  // Every poster's frames must still arrive in the order it posted them.
+  // idle and queues behind a write in progress, so the two paths interleave
+  // (the posters pause between frames so the queue keeps draining). Every
+  // poster's frames must still arrive in the order it posted them.
   constexpr int kPosters = 4;
   constexpr std::uint32_t kFrames = 5000;
   SocketPaths paths("fifo");
@@ -778,6 +779,7 @@ TEST(SocketTransport, ConcurrentPostersKeepLinkFifo) {
     posters.emplace_back([&ta, p] {
       for (std::uint32_t i = 0; i < kFrames; ++i) {
         ta.post(Frame{1, 2, tagged_frame(static_cast<std::uint8_t>(p), i)});
+        std::this_thread::sleep_for(5us);
       }
     });
   }
