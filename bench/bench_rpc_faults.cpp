@@ -44,7 +44,7 @@ void BM_RpcUnderLoss(benchmark::State& state) {
   Service svc;
   server.host(svc.obj);
   auto remote = client.remote(server.id(), "Svc");
-  network.set_loss_probability(drop);
+  network.set_default_faults(net::LinkFaults{.drop = drop});
 
   net::CallOptions opts;
   if (with_retry) {

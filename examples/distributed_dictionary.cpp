@@ -97,7 +97,7 @@ int run_sim_demo() {
 
   // Lossy phase: 15% of frames vanish, but retries + the server's
   // at-most-once table keep every search exactly-once.
-  network.set_loss_probability(0.15);
+  network.set_default_faults(net::LinkFaults{.drop = 0.15});
   net::CallOptions reliable;
   reliable.retry = net::RetryPolicy{};
   const auto dict_before = dict.stats().requests;
@@ -126,7 +126,7 @@ int run_sim_demo() {
   // entries are annotated compatible with each other, so remote searches
   // overlap inside the object without per-call manager turns; Insert is a
   // serial group and runs in exclusion.
-  network.set_loss_probability(0.0);
+  network.set_default_faults(net::LinkFaults{});
   apps::Dictionary ma_dict(
       words, {.search_time = std::chrono::microseconds(500),
               .multiactive = true,

@@ -49,8 +49,8 @@ SAN_SUITES=(
   core_object_test core_select_test core_channel_test core_property_test
   core_supervision_test core_multiactive_test core_trace_test
   sched_executor_test sched_executor_stress_test
-  net_test net_failure_test net_fault_test net_routing_test
-  net_socket_test
+  net_test net_failure_test net_fault_test net_routing_test net_order_test
+  net_socket_test net_transport_test
   codec_fuzz_test integration_test
 )
 

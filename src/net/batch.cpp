@@ -40,10 +40,6 @@ void FrameBatcher::collect_locked(NodeId dst, LinkBuffer& buf,
   buf.bytes = 0;
 }
 
-void FrameBatcher::enqueue(NodeId dst, std::vector<std::uint8_t> payload) {
-  enqueue(dst, FrameBuilder::from_bytes(std::move(payload)));
-}
-
 void FrameBatcher::enqueue(NodeId dst, FrameBuilder frame) {
   std::vector<Flush> out;
   {

@@ -10,7 +10,7 @@
 // frame that the receiving node unpacks in order, preserving the link's
 // FIFO semantics.
 //
-// Fault interplay: a batch is one frame to the Network, so injected drop /
+// Fault interplay: a batch is one frame to the transport, so injected drop /
 // duplication / partition hits all members together. That is by design —
 // the retry + at-most-once machinery above (rpc.h) already converges under
 // whole-frame loss, and a duplicated batch only produces member duplicates
@@ -38,8 +38,9 @@ struct BatchOptions {
   std::chrono::microseconds flush_interval{200};
 };
 
-/// Buffers (dst, payload) pairs per destination and emits them through the
-/// supplied post function, coalesced into kBatch frames. Thread-safe; a
+/// Buffers (dst, frame) pairs per destination and emits them through the
+/// supplied post function, coalesced into kBatch frames. Frames enter and
+/// leave as FrameBuilders, never as flat byte vectors. Thread-safe; a
 /// dedicated flusher thread enforces the interval bound, size-bound flushes
 /// happen inline on the enqueuing thread. The destructor flushes residue.
 class FrameBatcher {
@@ -64,12 +65,10 @@ class FrameBatcher {
   FrameBatcher(const FrameBatcher&) = delete;
   FrameBatcher& operator=(const FrameBatcher&) = delete;
 
-  /// Buffers a frame still in scatter-gather form: its payload slices are
-  /// carried by reference into the batch envelope and written once, at the
-  /// envelope's single build.
+  /// Buffers a frame in its builder form: its payload slices are carried by
+  /// reference into the batch envelope and written once, at the envelope's
+  /// single build (or scattered write).
   void enqueue(NodeId dst, FrameBuilder frame);
-  /// Pre-encoded frame (adopted without a byte copy).
-  void enqueue(NodeId dst, std::vector<std::uint8_t> payload);
 
   /// Synchronously flushes every link's buffer (tests / quiesce points).
   void flush_all();

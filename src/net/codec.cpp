@@ -158,8 +158,9 @@ void FrameBuilder::patch_u8_or(std::size_t offset, std::uint8_t bits) {
   arena_[offset] |= bits;
 }
 
-void FrameBuilder::build_into(std::vector<std::uint8_t>& out) const {
-  out.reserve(out.size() + size_);
+std::vector<std::uint8_t> FrameBuilder::build() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(size_);
   std::size_t consumed = 0;
   std::size_t referenced = 0;
   for (const auto& s : slices_) {
@@ -176,11 +177,6 @@ void FrameBuilder::build_into(std::vector<std::uint8_t>& out) const {
   dp.bytes_referenced.add(referenced);
   dp.frames_assembled.add(1);
   dp.bytes_assembled.add(size_);
-}
-
-std::vector<std::uint8_t> FrameBuilder::build() const {
-  std::vector<std::uint8_t> out;
-  build_into(out);
   return out;
 }
 
@@ -223,17 +219,6 @@ void encode_request_header(const RequestHeader& h, FrameBuilder& out) {
   out.put_string(h.entry);
 }
 
-void encode_request_header(const RequestHeader& h,
-                           std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kRequest));
-  put_u64(out, h.req_id);
-  put_u64(out, h.epoch);
-  put_u64(out, h.ack_through);
-  put_u64(out, h.deadline_ms);
-  put_string(out, h.object);
-  put_string(out, h.entry);
-}
-
 RequestHeader decode_request_header(const Buffer& in, std::size_t& pos) {
   RequestHeader h;
   h.req_id = get_u64(in, pos);
@@ -252,14 +237,6 @@ void encode_response_header(const ResponseHeader& h, FrameBuilder& out) {
   out.put_u8(h.flags);
 }
 
-void encode_response_header(const ResponseHeader& h,
-                            std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kResponse));
-  put_u64(out, h.req_id);
-  put_u8(out, static_cast<std::uint8_t>(h.cause));
-  put_u8(out, h.flags);
-}
-
 ResponseHeader decode_response_header(const Buffer& in, std::size_t& pos) {
   ResponseHeader h;
   h.req_id = get_u64(in, pos);
@@ -272,14 +249,13 @@ ResponseHeader decode_response_header(const Buffer& in, std::size_t& pos) {
   return h;
 }
 
-void encode_wrong_node(const WrongNodeHeader& h,
-                       std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kWrongNode));
-  put_u64(out, h.req_id);
-  put_u64(out, h.home);
-  put_string(out, h.object);
-  put_u32(out, h.shard);
-  put_u64(out, h.map_epoch);
+void encode_wrong_node(const WrongNodeHeader& h, FrameBuilder& out) {
+  out.put_u8(static_cast<std::uint8_t>(MsgType::kWrongNode));
+  out.put_u64(h.req_id);
+  out.put_u64(h.home);
+  out.put_string(h.object);
+  out.put_u32(h.shard);
+  out.put_u64(h.map_epoch);
 }
 
 WrongNodeHeader decode_wrong_node(const Buffer& in, std::size_t& pos) {
@@ -290,16 +266,6 @@ WrongNodeHeader decode_wrong_node(const Buffer& in, std::size_t& pos) {
   h.shard = get_u32(in, pos);
   h.map_epoch = get_u64(in, pos);
   return h;
-}
-
-void encode_batch(const std::vector<std::vector<std::uint8_t>>& members,
-                  std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kBatch));
-  put_u32(out, static_cast<std::uint32_t>(members.size()));
-  for (const auto& m : members) {
-    put_u32(out, static_cast<std::uint32_t>(m.size()));
-    out.insert(out.end(), m.begin(), m.end());
-  }
 }
 
 void encode_batch(const std::vector<FrameBuilder>& members,
@@ -333,18 +299,9 @@ std::vector<Buffer> decode_batch_slices(const Buffer& in, std::size_t& pos) {
   return members;
 }
 
-std::vector<std::vector<std::uint8_t>> decode_batch(const Buffer& in,
-                                                    std::size_t& pos) {
-  const std::vector<Buffer> slices = decode_batch_slices(in, pos);
-  std::vector<std::vector<std::uint8_t>> members;
-  members.reserve(slices.size());
-  for (const auto& s : slices) members.push_back(s.to_blob());
-  return members;
-}
-
-void encode_ack(std::uint64_t ack_through, std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(MsgType::kAck));
-  put_u64(out, ack_through);
+void encode_ack(std::uint64_t ack_through, FrameBuilder& out) {
+  out.put_u8(static_cast<std::uint8_t>(MsgType::kAck));
+  out.put_u64(ack_through);
 }
 
 std::uint64_t decode_ack(const Buffer& in, std::size_t& pos) {
@@ -406,13 +363,6 @@ void encode_value(const Value& v, FrameBuilder& out,
     }
   }
   raise(ErrorCode::kBadMessage, "unencodable value kind");
-}
-
-void encode_value(const Value& v, std::vector<std::uint8_t>& out,
-                  ChannelResolver* resolver) {
-  FrameBuilder fb;
-  encode_value(v, fb, resolver);
-  fb.build_into(out);
 }
 
 Value decode_value(const Buffer& in, std::size_t& pos,
@@ -504,13 +454,6 @@ void encode_list(const ValueList& list, FrameBuilder& out,
                  ChannelResolver* resolver) {
   out.put_u32(static_cast<std::uint32_t>(list.size()));
   for (const auto& v : list) encode_value(v, out, resolver);
-}
-
-void encode_list(const ValueList& list, std::vector<std::uint8_t>& out,
-                 ChannelResolver* resolver) {
-  FrameBuilder fb;
-  encode_list(list, fb, resolver);
-  fb.build_into(out);
 }
 
 ValueList decode_list(const Buffer& in, std::size_t& pos,

@@ -6,13 +6,15 @@
 // channel id) pair, and the ChannelResolver — implemented by net::Node —
 // turns that pair back into a local reference or a forwarding proxy.
 //
-// Zero-copy assembly (DESIGN.md §4.9). Frames are built through a
-// FrameBuilder: headers and small values are encoded into an inline arena,
-// while large string/blob payloads ride as refcounted Buffer slices. The
-// scatter-gather list is flattened exactly once, by build(), into the wire
-// vector — so a payload that travels through encode, a retransmit cache and
-// a batch envelope is still written once. On the decode side, blob payloads
-// of an *owned* frame buffer alias the frame instead of copying out of it.
+// Zero-copy assembly (DESIGN.md §4.9). Every frame is built through a
+// FrameBuilder — the only send form: headers and small values are encoded
+// into an inline arena, while large string/blob payloads ride as refcounted
+// Buffer slices. The scatter-gather list is flattened at most once, by
+// build(), into the wire vector (a socket transport writes the slices
+// directly instead) — so a payload that travels through encode, a
+// retransmit cache and a batch envelope is still written once. On the
+// decode side, blob payloads of an *owned* frame buffer alias the frame
+// instead of copying out of it.
 #pragma once
 
 #include <cstdint>
@@ -119,8 +121,6 @@ class FrameBuilder {
   /// Flattens the scatter-gather list into one contiguous wire vector (the
   /// data plane's single copy of referenced payloads).
   std::vector<std::uint8_t> build() const;
-  /// As build(), but appends to `out` (batch envelopes, legacy wrappers).
-  void build_into(std::vector<std::uint8_t>& out) const;
 
   /// One contiguous piece of the frame, in wire order. A writev-style send
   /// path hands these to the kernel directly — no gather ever happens.
@@ -186,11 +186,7 @@ struct ResponseHeader {
 /// Appends the MsgType byte plus the header fields.
 void encode_request_header(const RequestHeader& h, FrameBuilder& out);
 void encode_response_header(const ResponseHeader& h, FrameBuilder& out);
-void encode_request_header(const RequestHeader& h,
-                           std::vector<std::uint8_t>& out);
-void encode_response_header(const ResponseHeader& h,
-                            std::vector<std::uint8_t>& out);
-void encode_ack(std::uint64_t ack_through, std::vector<std::uint8_t>& out);
+void encode_ack(std::uint64_t ack_through, FrameBuilder& out);
 
 /// Decoders assume the MsgType byte has already been consumed; they throw
 /// Error(kBadMessage) on truncation or an out-of-range cause byte. Inputs
@@ -226,8 +222,7 @@ struct WrongNodeHeader {
   bool operator==(const WrongNodeHeader&) const = default;
 };
 
-void encode_wrong_node(const WrongNodeHeader& h,
-                       std::vector<std::uint8_t>& out);
+void encode_wrong_node(const WrongNodeHeader& h, FrameBuilder& out);
 WrongNodeHeader decode_wrong_node(const Buffer& in, std::size_t& pos);
 
 /// Batch frame: `count` member frames, each length-prefixed. Members are
@@ -235,15 +230,12 @@ WrongNodeHeader decode_wrong_node(const Buffer& in, std::size_t& pos);
 /// batches — the dispatch layer rejects nesting, so a hostile frame cannot
 /// recurse. Decoders validate every length against the remaining bytes and
 /// reject empty members (no type byte).
-void encode_batch(const std::vector<std::vector<std::uint8_t>>& members,
-                  std::vector<std::uint8_t>& out);
-/// Scatter-gather envelope: member headers/arenas are spliced, member
+///
+/// The envelope is scatter-gather: member headers/arenas are spliced, member
 /// payload slices stay referenced — the whole batch is written once.
 void encode_batch(const std::vector<FrameBuilder>& members, FrameBuilder& out);
-std::vector<std::vector<std::uint8_t>> decode_batch(const Buffer& in,
-                                                    std::size_t& pos);
-/// Members as slices of `in` (zero-copy when `in` is owned) — the dispatch
-/// path's form; member decode can then alias payloads of the original frame.
+/// Members as slices of `in` (zero-copy when `in` is owned), so member
+/// decode can alias payloads of the original frame.
 std::vector<Buffer> decode_batch_slices(const Buffer& in, std::size_t& pos);
 
 // ---- stream framing (byte-stream transports) -------------------------------
@@ -397,10 +389,8 @@ class ChannelResolver {
 
 /// Appends the encoding of `v`. Throws Error(kBadMessage) when a channel is
 /// present and `resolver` is null. Large string/blob payloads become slices
-/// of the builder (no byte copy); the vector overload flattens immediately.
+/// of the builder (no byte copy).
 void encode_value(const Value& v, FrameBuilder& out,
-                  ChannelResolver* resolver = nullptr);
-void encode_value(const Value& v, std::vector<std::uint8_t>& out,
                   ChannelResolver* resolver = nullptr);
 
 /// Decodes one value starting at `pos` (which advances past it). Throws
@@ -411,13 +401,11 @@ Value decode_value(const Buffer& in, std::size_t& pos,
 
 void encode_list(const ValueList& list, FrameBuilder& out,
                  ChannelResolver* resolver = nullptr);
-void encode_list(const ValueList& list, std::vector<std::uint8_t>& out,
-                 ChannelResolver* resolver = nullptr);
 
 ValueList decode_list(const Buffer& in, std::size_t& pos,
                       ChannelResolver* resolver = nullptr);
 
-// Primitive writers/readers (exposed for the frame headers in rpc.cpp).
+// Primitive writers (the HELLO; tests crafting hostile bytes) and readers.
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);

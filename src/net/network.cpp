@@ -1,15 +1,13 @@
 #include "net/network.h"
 
 #include "core/error.h"
-#include "net/directory.h"
+#include "net/codec.h"
 #include "support/thread_util.h"
 
 namespace alps::net {
 
 Network::Network(LinkLatency default_latency, std::uint64_t seed)
-    : default_latency_(default_latency),
-      rng_(seed),
-      directory_(std::make_unique<Directory>()) {
+    : default_latency_(default_latency), rng_(seed) {
   delivery_thread_ =
       std::jthread([this](std::stop_token st) { delivery_loop(st); });
 }
@@ -21,22 +19,14 @@ Network::~Network() {
 }
 
 NodeId Network::add_node(const std::string& name) {
-  std::scoped_lock lock(mu_);
-  node_names_.push_back(name);
-  handlers_.emplace_back();
-  return node_names_.size() - 1;
-}
-
-void Network::set_handler(NodeId node, Handler handler) {
-  std::unique_lock lock(mu_);
-  if (node >= handlers_.size()) {
-    raise(ErrorCode::kNetwork, "set_handler on unknown node");
+  NodeId id = 0;
+  {
+    std::scoped_lock lock(mu_);
+    node_names_.push_back(name);
+    id = node_names_.size() - 1;
   }
-  handlers_[node] = std::move(handler);
-  // The delivery loop invokes its copied handler outside the lock; a caller
-  // deregistering (typically ~Node) must not return while such an invocation
-  // is still running into the old handler's captures.
-  idle_cv_.wait(lock, [&] { return !delivering_ || delivering_to_ != node; });
+  add_endpoint(id);
+  return id;
 }
 
 void Network::set_link_latency(NodeId src, NodeId dst, LinkLatency latency) {
@@ -60,11 +50,6 @@ LinkLatency Network::latency_for(NodeId src, NodeId dst) const {
     if (key.first == src && key.second == dst) return lat;
   }
   return default_latency_;
-}
-
-void Network::set_loss_probability(double p) {
-  std::scoped_lock lock(mu_);
-  default_faults_.drop = p;
 }
 
 void Network::set_default_faults(LinkFaults faults) {
@@ -140,13 +125,13 @@ void Network::add_peer(NodeId id, const std::string& name,
       node_names_[id] = name;
     } else if (id == node_names_.size()) {
       node_names_.push_back(name);
-      handlers_.emplace_back();
     } else {
       raise(ErrorCode::kNetwork,
             "sim node ids are dense; cannot add sparse id " +
                 std::to_string(id));
     }
   }
+  add_endpoint(id);
   notify_membership(id, true);
 }
 
@@ -155,7 +140,6 @@ bool Network::remove_peer(NodeId id) {
     std::scoped_lock lock(mu_);
     if (id >= node_names_.size() || departed_.contains(id)) return false;
     departed_.insert(id);
-    handlers_[id] = nullptr;
     // Purge in-flight frames touching the departed node: rebuild the
     // schedule without them, counting each as lost (the socket backend's
     // queue-drop on eviction).
@@ -164,19 +148,21 @@ bool Network::remove_peer(NodeId id) {
       Scheduled s = std::move(const_cast<Scheduled&>(queue_.top()));
       queue_.pop();
       if (s.frame.src == id || s.frame.dst == id) {
-        ++stats_.frames_lost;
+        count(&TransportStats::frames_lost);
       } else {
         kept.push(std::move(s));
       }
     }
     queue_.swap(kept);
   }
-  directory().remove_node(id);
+  clear_handler(id);
   notify_membership(id, false);
   return true;
 }
 
-void Network::post(Frame frame) {
+void Network::post(NodeId src, NodeId dst, FrameBuilder builder) {
+  // The data plane's single gather (bytes_assembled), before the lock.
+  Frame frame{src, dst, builder.build()};
   {
     std::scoped_lock lock(mu_);
     // Failure injection: partitions and random loss silently eat the frame,
@@ -188,15 +174,14 @@ void Network::post(Frame frame) {
                      departed_.contains(frame.src) ||
                      departed_.contains(frame.dst);
     ++total_posted_;
-    ++stats_.frames_posted;
-    stats_.bytes_posted += frame.payload.size();
+    count_posted(frame.payload.size());
     if (cut) {
-      ++stats_.frames_lost;
+      count(&TransportStats::frames_lost);
       return;
     }
     const LinkFaults faults = faults_for(frame.src, frame.dst);
     if (faults.drop > 0.0 && rng_.next_double() < faults.drop) {
-      ++stats_.frames_lost;
+      count(&TransportStats::frames_lost);
       return;
     }
     const bool duplicate =
@@ -264,34 +249,19 @@ void Network::delivery_loop(const std::stop_token& st) {
     if (departed_.contains(frame.src) || departed_.contains(frame.dst)) {
       // Removed after this frame was scheduled but before delivery: the
       // eviction wins (remove_peer purges the queue; this covers the race).
-      ++stats_.frames_lost;
+      count(&TransportStats::frames_lost);
       continue;
     }
-    Handler handler;
-    if (frame.dst < handlers_.size()) handler = handlers_[frame.dst];
-    if (!handler) {
-      ++stats_.frames_dropped;
-      continue;
-    }
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += frame.payload.size();
     delivering_ = true;
-    delivering_to_ = frame.dst;
-    // Promote the payload to shared ownership (vector move, no byte copy):
-    // decoded blob params and batch members can then alias the frame.
-    Buffer payload = Buffer::adopt(std::move(frame.payload));
     lock.unlock();
-    // Outside the lock: handlers may post frames.
-    handler(frame.src, std::move(payload));
+    // Outside the lock: handlers may post frames. The payload is promoted to
+    // shared ownership (vector move, no byte copy), so decoded blob params
+    // and batch members can alias the frame.
+    deliver(frame.dst, frame.src, Buffer::adopt(std::move(frame.payload)));
     lock.lock();
     delivering_ = false;
     idle_cv_.notify_all();
   }
-}
-
-TransportStats Network::transport_stats() const {
-  std::scoped_lock lock(mu_);
-  return stats_;
 }
 
 SimFaultStats Network::fault_stats() const {

@@ -13,7 +13,9 @@
 // fault injectors below (drop/duplicate/reorder, scripted partitions) have
 // no socket equivalent, which is exactly why the simulation stays — every
 // fault-model test keeps its reproducible substrate, while the same RPC
-// stack runs unchanged over real sockets (transport_socket.h).
+// stack runs unchanged over real sockets (transport_socket.h). The handler
+// table, delivery fence, traffic counters and directory are the Transport
+// base's; this class owns the schedule, the fault model and membership.
 #pragma once
 
 #include <chrono>
@@ -72,31 +74,21 @@ class Network final : public Transport {
   /// Registers a node; returns its id (ids are dense, starting at 0).
   NodeId add_node(const std::string& name) override;
 
-  /// The cluster's object directory (see directory.h). The Network models
-  /// the whole cluster, so it owns the authoritative name → home-node map;
-  /// Node::host/unhost maintain it and name-based calls resolve through it.
-  Directory& directory() override { return *directory_; }
-
-  void set_handler(NodeId node, Handler handler) override;
-
   /// Overrides the latency of the directed link src → dst.
   void set_link_latency(NodeId src, NodeId dst, LinkLatency latency);
 
   void set_default_latency(LinkLatency latency);
 
-  /// Schedules delivery of `frame` after the link's latency. Frames to the
-  /// sender itself are delivered through the same path (loopback latency).
-  void post(Frame frame) override;
-  using Transport::post;  // scatter-gather overload (flattens via build())
+  /// Gathers `frame` once (build()) and schedules its delivery after the
+  /// link's latency. Frames to the sender itself are delivered through the
+  /// same path (loopback latency).
+  void post(NodeId src, NodeId dst, FrameBuilder frame) override;
+  using Transport::post;  // post(Frame): pre-encoded bytes
 
   // ---- failure injection (experiments & tests) ----
 
-  /// Drops each frame independently with probability `p` (0 disables).
-  /// Deterministic under the network's seed. Equivalent to setting the
-  /// default LinkFaults' drop probability.
-  void set_loss_probability(double p);
-
-  /// Faults applied to every link without a per-link override.
+  /// Faults applied to every link without a per-link override. Replaces
+  /// all of them: LinkFaults{.drop = p} alone is plain random loss.
   void set_default_faults(LinkFaults faults);
 
   /// Overrides the fault model of the directed link src → dst.
@@ -137,7 +129,6 @@ class Network final : public Transport {
   /// eviction looks like from the RPC layer.
   bool remove_peer(NodeId id) override;
 
-  TransportStats transport_stats() const override;
   /// Injected-fault accounting (sim-only; see SimFaultStats).
   SimFaultStats fault_stats() const;
 
@@ -175,7 +166,6 @@ class Network final : public Transport {
   mutable std::condition_variable idle_cv_;
   std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>> queue_;
   std::vector<std::string> node_names_;
-  std::vector<Handler> handlers_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkLatency>> link_overrides_;
   std::vector<std::pair<std::pair<NodeId, NodeId>, LinkFaults>> fault_overrides_;
   std::vector<std::pair<NodeId, NodeId>> partitions_;  // undirected pairs
@@ -185,7 +175,6 @@ class Network final : public Transport {
   LinkFaults default_faults_;
   LinkLatency default_latency_;
   support::Rng rng_;
-  TransportStats stats_;
   SimFaultStats fault_stats_;
   /// Per-directed-link schedule state (keyed src<<32|dst): `clamp` is the
   /// FIFO watermark jittered frames are held to; `max_due` is the latest
@@ -197,9 +186,7 @@ class Network final : public Transport {
   };
   std::unordered_map<std::uint64_t, LinkSchedule> last_due_;
   std::uint64_t next_seq_ = 0;
-  bool delivering_ = false;
-  NodeId delivering_to_ = 0;  ///< valid while delivering_ is true
-  std::unique_ptr<Directory> directory_;
+  bool delivering_ = false;  ///< a popped frame is in deliver() (quiescence)
   std::jthread delivery_thread_;
 };
 

@@ -194,7 +194,7 @@ void Node::set_batching(const BatchOptions& options) {
       options, [this](NodeId dst, FrameBuilder frame) {
         // Flushes stay in scatter-gather form all the way to the transport,
         // so batch envelopes ride a socket backend's writev path too.
-        transport_->post(id_, dst, frame);
+        transport_->post(id_, dst, std::move(frame));
       });
   batcher_raw_.store(batcher_.get(), std::memory_order_release);
 }
@@ -226,15 +226,7 @@ void Node::post_frame(NodeId dst, FrameBuilder frame) {
     b->enqueue(dst, std::move(frame));
     return;
   }
-  transport_->post(id_, dst, frame);
-}
-
-void Node::post_frame(NodeId dst, std::vector<std::uint8_t> payload) {
-  if (auto* b = batcher_raw_.load(std::memory_order_acquire)) {
-    b->enqueue(dst, std::move(payload));
-    return;
-  }
-  transport_->post(Frame{id_, dst, std::move(payload)});
+  transport_->post(id_, dst, std::move(frame));
 }
 
 void Node::export_channel(const ChannelRef& channel) {
@@ -423,10 +415,9 @@ std::uint64_t Node::ack_watermark_locked(NodeId target) const {
   return ack;
 }
 
-std::vector<std::uint8_t> Node::finish_pending_locked(std::uint64_t req_id,
-                                                      NodeId target) {
+FrameBuilder Node::finish_pending_locked(std::uint64_t req_id, NodeId target) {
   pending_.erase(req_id);
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   auto oit = outstanding_.find(target);
   if (oit != outstanding_.end()) {
     oit->second.erase(req_id);
@@ -521,7 +512,7 @@ void Node::cancel_request(std::uint64_t req_id) {
   std::shared_ptr<CallState> state;
   std::string label;
   NodeId target = 0;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   {
     std::scoped_lock lock(mu_);
     auto it = pending_.find(req_id);
@@ -587,7 +578,7 @@ void Node::handle_wrong_node(NodeId /*from*/, const Buffer& payload,
   std::shared_ptr<CallState> failed_state;
   std::string failed_what;
   int failed_attempts = 1;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   NodeId ack_target = 0;
   FrameBuilder resend;
   {
@@ -735,8 +726,8 @@ void Node::handle_request(NodeId from, const Buffer& payload,
   // cached response; one still executing is dropped (its response will go
   // out when the body finishes). Only a first arrival of a locally hosted
   // object dispatches — misrouted requests leave no dedup state at all.
-  FrameBuilder replay;
-  std::vector<std::uint8_t> reject;
+  // `answer` is a replayed or refused response, sent instead of dispatching.
+  FrameBuilder answer;
   bool in_flight_dup = false;
   Object* object = nullptr;
   {
@@ -763,8 +754,8 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     if (auto it = table.entries.find(header.req_id);
         it != table.entries.end()) {
       if (it->second.done) {
-        replay = it->second.response;
-        replay.patch_u8_or(kResponseFlagsOffset, kResponseFlagReplayed);
+        answer = it->second.response;
+        answer.patch_u8_or(kResponseFlagsOffset, kResponseFlagReplayed);
         ++server_stats_.dedup_replayed;
       } else {
         ++server_stats_.dup_in_flight;
@@ -777,10 +768,10 @@ void Node::handle_request(NodeId from, const Buffer& payload,
       // here, and only a pathological (ack-less) caller can reach this.
       ++server_stats_.dedup_rejected;
       encode_response_header(
-          ResponseHeader{header.req_id, WireCause::kRemoteError, 0}, reject);
-      put_string(reject,
-                 "at-most-once entry evicted under the per-caller bound; "
-                 "result unknown, refusing to re-execute");
+          ResponseHeader{header.req_id, WireCause::kRemoteError, 0}, answer);
+      answer.put_string(
+          "at-most-once entry evicted under the per-caller bound; "
+          "result unknown, refusing to re-execute");
     } else if (auto hit = hosted_.find(header.object);
                hit != hosted_.end() && owner) {
       object = hit->second;
@@ -794,12 +785,8 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     // earns another redirect and the table never learns misrouted ids.
   }
   if (in_flight_dup) return;
-  if (!replay.empty()) {
-    post_frame(from, std::move(replay));
-    return;
-  }
-  if (!reject.empty()) {
-    post_frame(from, std::move(reject));
+  if (!answer.empty()) {
+    post_frame(from, std::move(answer));
     return;
   }
   if (!object) {
@@ -809,7 +796,7 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     if (!decision || decision->home == id_) {
       decision = transport_->directory().route(header.object, key_hash);
     }
-    std::vector<std::uint8_t> out;
+    FrameBuilder out;
     if (decision && decision->home != id_) {
       // The directory knows a better home for this key: redirect instead of
       // failing, so a stale client route heals in one extra hop. The hint
@@ -825,7 +812,7 @@ void Node::handle_request(NodeId from, const Buffer& payload,
     } else {
       encode_response_header(
           ResponseHeader{header.req_id, WireCause::kObjectNotFound, 0}, out);
-      put_string(out, "no such object: " + header.object);
+      out.put_string("no such object: " + header.object);
     }
     post_frame(from, std::move(out));
     return;
@@ -921,7 +908,7 @@ void Node::handle_response(NodeId from, const Buffer& payload,
   }
   std::shared_ptr<CallState> state;
   int attempts = 1;
-  std::vector<std::uint8_t> ack;
+  FrameBuilder ack;
   {
     std::scoped_lock lock(mu_);
     auto it = pending_.find(header.req_id);

@@ -27,11 +27,20 @@
 //     socket transport; the RPC dedup layer tolerates both.
 //   * Delivery handlers run on transport-owned threads and must not block
 //     for long; the RPC layer's handlers only enqueue kernel work.
-// DESIGN.md §4.10 tabulates the full sim-vs-socket contract.
+//
+// What a backend implements and what the base owns. A backend moves bytes:
+// one virtual post(src, dst, FrameBuilder) — the only send entry — plus its
+// own partition levers, membership and quiescence. Everything both backends
+// would otherwise repeat lives here once: the handler table and the
+// set_handler delivery fence (backends hand received frames to deliver()),
+// the TransportStats counters, the owned Directory, and the membership
+// listeners. DESIGN.md §4.10 tabulates the full sim-vs-socket contract.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -46,10 +55,9 @@ using NodeId = std::uint64_t;
 class Directory;
 class FrameBuilder;
 
-/// One point-to-point message: an opaque payload from src to dst. The
-/// payload is a contiguous byte vector here; the scatter-gather post
-/// overload below avoids ever materializing it on transports that can
-/// write a slice list directly.
+/// One point-to-point message in flat form: an opaque payload from src to
+/// dst. Senders build frames as a FrameBuilder; this form is what the sim
+/// schedules, and what raw posts (tests, probes) hand to post(Frame).
 struct Frame {
   NodeId src = 0;
   NodeId dst = 0;
@@ -84,7 +92,8 @@ class Transport {
   /// copying out of it — on both backends.
   using Handler = std::function<void(NodeId src, Buffer payload)>;
 
-  virtual ~Transport() = default;
+  Transport();
+  virtual ~Transport();
 
   /// Registers a local delivery endpoint; returns its id. The simulation
   /// mints dense ids for any number of in-process nodes; a socket transport
@@ -92,31 +101,33 @@ class Transport {
   /// preassigned cluster id.
   virtual NodeId add_node(const std::string& name) = 0;
 
-  /// Installs (or, with nullptr, removes) the handler for `node`. Must not
-  /// return while a delivery into a previous handler is still running, so a
-  /// deregistering caller (~Node) can safely destroy the captures.
-  virtual void set_handler(NodeId node, Handler handler) = 0;
+  /// Installs (or, with nullptr, removes) the handler for `node`. Does not
+  /// return while a delivery into a previous handler of `node` is still
+  /// running, so a deregistering caller (~Node) can safely destroy the
+  /// captures. Raises kNetwork for a node that is not a local endpoint.
+  void set_handler(NodeId node, Handler handler);
 
-  /// Posts one frame for asynchronous delivery. Never blocks on the remote
-  /// end; loss is silent (counted in stats), exactly as a datagram network.
-  virtual void post(Frame frame) = 0;
+  /// Posts one frame for asynchronous delivery — the only send entry a
+  /// backend implements. Never blocks on the remote end; loss is silent
+  /// (counted in stats), exactly as a datagram network. The builder is taken
+  /// by value so a caller that is done with it moves it into the backend's
+  /// queue: the sim gathers it once with build(), a stream transport writes
+  /// its slice list directly and never assembles the frame.
+  virtual void post(NodeId src, NodeId dst, FrameBuilder frame) = 0;
 
-  /// Scatter-gather post: the frame still in FrameBuilder form. The default
-  /// flattens via build() (the sim's single gather); stream transports
-  /// override it to write the slice list directly — no contiguous frame is
-  /// ever assembled, so data-plane `bytes_assembled` stays at zero.
-  virtual void post(NodeId src, NodeId dst, const FrameBuilder& frame);
+  /// Posts an already-encoded frame (adopted without a byte copy).
+  void post(Frame frame);
 
-  virtual TransportStats transport_stats() const = 0;
+  /// Traffic counters, kept by the base for both backends (one snapshot).
+  TransportStats transport_stats() const;
 
-  /// The cluster's object directory (name → home node). The simulation owns
-  /// the authoritative map for all in-process nodes; a socket transport owns
-  /// this process's replica, seeded from static placement configuration and
-  /// healed in-band by kWrongNode redirects (DESIGN.md §4.10).
-  virtual Directory& directory() = 0;
-  const Directory& directory() const {
-    return const_cast<Transport*>(this)->directory();
-  }
+  /// The cluster's object directory (name → home node). The simulation's is
+  /// the authoritative map for all its in-process nodes; a socket
+  /// transport's is this process's replica, seeded from static placement
+  /// configuration and healed in-band by kWrongNode redirects (DESIGN.md
+  /// §4.10).
+  Directory& directory() { return *directory_; }
+  const Directory& directory() const { return *directory_; }
 
   /// True while a↔b is known unreachable: an active sim partition, or a
   /// socket peer whose connection is dead/in backoff. The RPC layer uses it
@@ -160,10 +171,42 @@ class Transport {
   void remove_membership_listener(std::uint64_t token);
 
  protected:
-  /// Backends call this after a membership change, holding no locks.
+  /// Makes `node` a local delivery endpoint (no handler yet). Idempotent.
+  void add_endpoint(NodeId node);
+
+  /// Clears `node`'s handler without waiting out a running delivery — for a
+  /// backend evicting a node, which may happen on a delivering thread.
+  void clear_handler(NodeId node);
+
+  /// Hands one received frame to `dst`'s handler, outside every lock, and
+  /// counts it delivered (or dropped, when `dst` has no handler). The
+  /// set_handler fence is kept here: two lock rounds per frame.
+  void deliver(NodeId dst, NodeId src, Buffer payload);
+
+  /// Adds to the traffic counters. Safe under a backend's own locks: the
+  /// lock these take is a leaf.
+  void count(std::uint64_t TransportStats::*counter, std::uint64_t n = 1);
+  void count_posted(std::size_t bytes);
+
+  /// Backends call this after a membership change, holding no locks. A
+  /// departure first purges the peer's directory entries.
   void notify_membership(NodeId peer, bool added);
 
  private:
+  struct Endpoint {
+    Handler handler;
+    int active = 0;  ///< deliveries running outside state_mu_
+  };
+
+  std::unique_ptr<Directory> directory_;
+
+  /// Guards endpoints_ and stats_. A leaf: nothing else is locked or called
+  /// while it is held.
+  mutable std::mutex state_mu_;
+  std::condition_variable fence_cv_;  ///< an endpoint's `active` hit zero
+  std::unordered_map<NodeId, Endpoint> endpoints_;
+  TransportStats stats_;
+
   mutable std::mutex listeners_mu_;
   std::unordered_map<std::uint64_t, MembershipListener> listeners_;
   std::uint64_t next_listener_token_ = 1;

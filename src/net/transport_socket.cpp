@@ -145,6 +145,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     peer_names_[peer.id] = peer.name;
     links_.emplace(peer.id, std::move(link));
   }
+  add_endpoint(options_.local_node);
 
   // Listener socket. Unix paths are unlinked first so a crashed predecessor
   // cannot wedge the bind.
@@ -247,17 +248,6 @@ NodeId SocketTransport::add_node(const std::string& name) {
   return options_.local_node;
 }
 
-void SocketTransport::set_handler(NodeId node, Handler handler) {
-  std::unique_lock lock(mu_);
-  if (node != options_.local_node) {
-    raise(ErrorCode::kNetwork, "set_handler on non-local node");
-  }
-  handler_ = std::move(handler);
-  // Same contract as the sim: a deregistering caller (~Node) must not return
-  // while a delivery is still running into the old handler's captures.
-  delivery_cv_.wait(lock, [&] { return active_deliveries_ == 0; });
-}
-
 // ---- dynamic membership ----------------------------------------------------
 
 std::shared_ptr<SocketTransport::PeerLink> SocketTransport::find_link(
@@ -314,15 +304,14 @@ bool SocketTransport::remove_peer(NodeId id) {
     link->sender.request_stop();
     link->sender.join();
   }
-  std::size_t frames = 0, bytes = 0;
+  std::size_t frames = 0;
   {
     std::scoped_lock lock(link->mu);
     frames = link->queue.size();
-    bytes = link->queue_bytes;
     link->queue.clear();
     link->queue_bytes = 0;
   }
-  count_lost(frames, bytes);
+  count_lost(frames);
   // Inbound side: shut down streams the evicted peer has open. Their reader
   // threads exit on the dead fd; ~SocketTransport joins them.
   std::vector<std::shared_ptr<Inbound>> to_close;
@@ -336,50 +325,29 @@ bool SocketTransport::remove_peer(NodeId id) {
     }
   }
   for (auto& conn : to_close) ::shutdown(conn->fd, SHUT_RDWR);
-  // A departed node's named objects fail typed (kObjectNotFound) instead of
-  // timing out against a dead address.
-  directory_.remove_node(id);
   notify_membership(id, false);
   return true;
 }
 
 // ---- send path -------------------------------------------------------------
 
-void SocketTransport::post(Frame frame) {
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.frames_posted;
-    stats_.bytes_posted += frame.payload.size();
-  }
-  if (frame.dst == options_.local_node) {
+void SocketTransport::post(NodeId src, NodeId dst, FrameBuilder frame) {
+  count_posted(frame.size());
+  if (dst == options_.local_node) {
     // Loopback: delivered inline on the posting thread (the sim routes this
     // through its delivery thread instead; handlers never block long, so
-    // inline is safe and keeps the no-self-connection invariant).
-    deliver(frame.src, Buffer::adopt(std::move(frame.payload)));
+    // inline is safe and keeps the no-self-connection invariant). It never
+    // touches the wire, so it pays the ordinary gather.
+    deliver(dst, src, Buffer::adopt(frame.build()));
     return;
   }
-  enqueue(frame.dst, FrameBuilder::from_bytes(std::move(frame.payload)));
-}
-
-void SocketTransport::post(NodeId src, NodeId dst, const FrameBuilder& frame) {
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.frames_posted;
-    stats_.bytes_posted += frame.size();
-  }
-  if (dst == options_.local_node) {
-    // Loopback never touches the wire, so it pays the ordinary gather.
-    deliver(src, Buffer::adopt(frame.build()));
-    return;
-  }
-  enqueue(dst, frame);
+  enqueue(dst, std::move(frame));
 }
 
 void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
   auto link = find_link(dst);
   if (!link) {
-    std::scoped_lock lock(mu_);
-    ++stats_.frames_dropped;
+    count(&TransportStats::frames_dropped);
     return;
   }
   const std::size_t bytes = frame.size();
@@ -439,11 +407,8 @@ void SocketTransport::enqueue(NodeId dst, FrameBuilder frame) {
     if (!link->sending) link->cv.notify_all();
   }
   lock.unlock();
-  if (dropped) {
-    std::scoped_lock slock(mu_);
-    ++stats_.frames_dropped;
-  }
-  if (lost) count_lost(1, bytes);
+  if (dropped) count(&TransportStats::frames_dropped);
+  if (lost) count_lost(1);
 }
 
 bool SocketTransport::connect_locked(PeerLink& link) {
@@ -537,7 +502,7 @@ void SocketTransport::requeue_failed_locked(PeerLink& link, FrameBuilder frame,
     // The frame left the queue for its write, so neither remove_peer's drain
     // nor the severed park can see it: counting it here is its only loss
     // accounting.
-    count_lost(1, frame.size());
+    count_lost(1);
     return;
   }
   // The peer's reassembler drops a torn frame with the connection, so the
@@ -553,18 +518,16 @@ void SocketTransport::requeue_failed_locked(PeerLink& link, FrameBuilder frame,
 }
 
 void SocketTransport::trim_queue_locked(PeerLink& link) {
-  std::size_t frames = 0, bytes = 0;
+  std::size_t frames = 0;
   while (!link.queue.empty() &&
          (link.queue.size() > options_.retransmit_budget_frames ||
           link.queue_bytes > options_.retransmit_budget_bytes)) {
     // Tail-drop the newest: the surviving prefix replays in posted order.
-    const std::size_t sz = link.queue.back().size();
+    link.queue_bytes -= link.queue.back().size();
     link.queue.pop_back();
-    link.queue_bytes -= sz;
-    bytes += sz;
     ++frames;
   }
-  if (frames > 0) count_lost(frames, bytes);
+  count_lost(frames);
 }
 
 void SocketTransport::park_and_trim_locked(PeerLink& link) {
@@ -608,11 +571,9 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
   });
   std::unique_lock lock(link->mu);
   const auto drain_as_lost = [&] {
-    const std::size_t frames = link->queue.size();
-    const std::size_t bytes = link->queue_bytes;
+    count_lost(link->queue.size());
     link->queue.clear();
     link->queue_bytes = 0;
-    if (frames > 0) count_lost(frames, bytes);
   };
   for (;;) {
     if (link->removed) return;  // remove_peer counts the queue itself
@@ -676,9 +637,7 @@ void SocketTransport::sender_loop(const std::stop_token& st, PeerLink* link) {
       if (link->replaying) {
         // Everything still queued rode out the blip and is about to replay.
         link->replaying = false;
-        const std::uint64_t survived = link->queue.size();
-        std::scoped_lock slock(mu_);
-        stats_.frames_requeued += survived;
+        count(&TransportStats::frames_requeued, link->queue.size());
       }
     }
     FrameBuilder frame = std::move(link->queue.front());
@@ -745,10 +704,7 @@ bool SocketTransport::validate_hello(const HelloFrame& hello,
 }
 
 void SocketTransport::reject_inbound(Inbound& conn, const std::string& why) {
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.handshake_rejected;
-  }
+  count(&TransportStats::handshake_rejected);
   support::net_health().handshake_rejected.add();
   ALPS_LOG_WARN("socket transport: rejecting inbound connection: %s",
                 why.c_str());
@@ -756,10 +712,7 @@ void SocketTransport::reject_inbound(Inbound& conn, const std::string& why) {
 }
 
 void SocketTransport::poison_inbound(Inbound& conn, const std::string& why) {
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.connections_poisoned;
-  }
+  count(&TransportStats::connections_poisoned);
   support::net_health().connections_poisoned.add();
   ALPS_LOG_WARN("socket transport: poisoned connection dropped: %s",
                 why.c_str());
@@ -839,46 +792,18 @@ void SocketTransport::reader_loop(const std::stop_token& st,
       if (!peer_link) {
         // Evicted mid-stream (remove_peer race backstop): the rest of this
         // connection is part of the departure.
-        count_lost(1, msg->payload.size());
+        count_lost(1);
         if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
         return;
       }
       if (severed) {
         // A severed peer's inbound traffic is part of the same cut.
-        count_lost(1, msg->payload.size());
+        count_lost(1);
         continue;
       }
-      deliver(msg->src, std::move(msg->payload));
+      deliver(options_.local_node, msg->src, std::move(msg->payload));
     }
   }
-}
-
-void SocketTransport::deliver(NodeId src, Buffer payload) {
-  Handler handler;
-  {
-    std::scoped_lock lock(mu_);
-    if (!handler_) {
-      ++stats_.frames_dropped;
-      return;
-    }
-    handler = handler_;
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += payload.size();
-    ++active_deliveries_;
-  }
-  handler(src, std::move(payload));  // outside the lock: handlers may post
-  {
-    std::scoped_lock lock(mu_);
-    --active_deliveries_;
-  }
-  delivery_cv_.notify_all();
-}
-
-void SocketTransport::count_lost(std::size_t frames, std::size_t bytes) {
-  if (frames == 0) return;
-  std::scoped_lock lock(mu_);
-  stats_.frames_lost += frames;
-  (void)bytes;  // loss is counted in frames; bytes_posted already includes them
 }
 
 // ---- partition / lifecycle hooks -------------------------------------------
@@ -933,11 +858,6 @@ bool SocketTransport::is_partitioned(NodeId a, NodeId b) const {
 }
 
 // ---- introspection ---------------------------------------------------------
-
-TransportStats SocketTransport::transport_stats() const {
-  std::scoped_lock lock(mu_);
-  return stats_;
-}
 
 std::size_t SocketTransport::node_count() const {
   std::scoped_lock lock(links_mu_);

@@ -47,11 +47,13 @@
 //     every connection after a best-effort drain of queued frames.
 //
 // Zero-copy send path. post(src, dst, FrameBuilder) never builds the frame:
-// whichever thread writes it hands the builder's scatter-gather segment list
-// to sendmsg() (writev semantics) behind the 12-byte stream header, so the
-// data plane's `bytes_assembled` counter stays at zero for every frame this
-// transport sends — the slices' single remaining copy happens inside the
-// kernel, on the way to the wire.
+// the builder moves into the link's queue (or straight into an inline
+// write), and whichever thread writes it hands its scatter-gather segment
+// list to sendmsg() (writev semantics) behind the 12-byte stream header, so
+// the data plane's `bytes_assembled` counter stays at zero for every frame
+// this transport sends — the slices' single remaining copy happens inside
+// the kernel, on the way to the wire. Received frames go to the Transport
+// base's deliver(), which owns the handler fence and the traffic counters.
 #pragma once
 
 #include <atomic>
@@ -67,7 +69,6 @@
 #include <vector>
 
 #include "net/codec.h"
-#include "net/directory.h"
 #include "net/transport.h"
 
 namespace alps::net {
@@ -141,15 +142,11 @@ class SocketTransport final : public Transport {
   /// a second registration raises kNetwork.
   NodeId add_node(const std::string& name) override;
 
-  void set_handler(NodeId node, Handler handler) override;
-
-  void post(Frame frame) override;
-  /// Scatter-gather post: the segment list goes to sendmsg directly, inline
-  /// or from the queue (builder form), never assembling the frame.
-  void post(NodeId src, NodeId dst, const FrameBuilder& frame) override;
-
-  TransportStats transport_stats() const override;
-  Directory& directory() override { return directory_; }
+  /// The segment list goes to sendmsg directly, inline or from the queue,
+  /// never assembling the frame. A frame to the local node is delivered
+  /// inline on the posting thread.
+  void post(NodeId src, NodeId dst, FrameBuilder frame) override;
+  using Transport::post;  // post(Frame): pre-encoded bytes
 
   /// True while `sever` is in force for the peer, or its connection is down
   /// and in reconnect backoff after a failure.
@@ -275,27 +272,23 @@ class SocketTransport final : public Transport {
   /// shuts the connection down.
   void reject_inbound(Inbound& conn, const std::string& why);
   void poison_inbound(Inbound& conn, const std::string& why);
-  void deliver(NodeId src, Buffer payload);
   void enqueue(NodeId dst, FrameBuilder frame);
-  void count_lost(std::size_t frames, std::size_t bytes);
+  void count_lost(std::uint64_t frames) {
+    if (frames > 0) count(&TransportStats::frames_lost, frames);
+  }
   /// Snapshot lookup; the returned shared_ptr keeps the link alive across a
   /// racing remove_peer.
   std::shared_ptr<PeerLink> find_link(NodeId id) const;
 
   SocketTransportOptions options_;
   std::vector<std::uint8_t> hello_bytes_;  ///< our encoded HELLO, immutable
-  Directory directory_;
 
-  mutable std::mutex mu_;
-  Handler handler_;
+  mutable std::mutex mu_;  ///< guards have_node_ and inbound_
   bool have_node_ = false;
-  int active_deliveries_ = 0;
-  mutable std::condition_variable delivery_cv_;
-  TransportStats stats_;
 
   /// Peer set. Guarded by links_mu_ (map shape + names); each link's own
-  /// state is under its PeerLink::mu. Lock order: links_mu_ or link->mu may
-  /// each be followed by mu_, never the reverse.
+  /// state is under its PeerLink::mu. mu_ is a leaf: no other lock is
+  /// taken while it is held.
   mutable std::mutex links_mu_;
   std::unordered_map<NodeId, std::shared_ptr<PeerLink>> links_;
   std::unordered_map<NodeId, std::string> peer_names_;

@@ -19,6 +19,7 @@
 // entry point the Cluster spawns.
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -40,6 +41,7 @@
 #include <system_error>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/alps.h"
@@ -193,10 +195,52 @@ int serve(const std::string& dir, int i, const std::string& store) {
   return 0;
 }
 
+/// Makes this run's /tmp/alps-cluster-XXXXXX dir and returns it, with
+/// `lock_fd` holding an exclusive flock on the dir for as long as it stays
+/// open. A driver killed outright (a ctest timeout sends SIGKILL) runs no
+/// destructor, but the kernel drops its lock; so before making a dir, every
+/// run removes the dirs whose lock it can take — their drivers are gone.
+/// Sweep and creation both happen under /tmp/alps-cluster.lock, so no sweep
+/// can see a live run's dir before that run has locked it.
+std::string make_run_dir(int& lock_fd) {
+  const int guard =
+      ::open("/tmp/alps-cluster.lock", O_RDWR | O_CREAT | O_CLOEXEC, 0666);
+  if (guard < 0 || ::flock(guard, LOCK_EX) != 0) {
+    throw std::system_error(errno, std::generic_category(), "cluster lock");
+  }
+  std::vector<std::filesystem::path> orphans;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp", ec)) {
+    if (entry.path().filename().string().rfind("alps-cluster-", 0) != 0) {
+      continue;
+    }
+    const int fd = ::open(entry.path().c_str(),
+                          O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) continue;
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0) orphans.push_back(entry.path());
+    ::close(fd);
+  }
+  for (const auto& dir : orphans) std::filesystem::remove_all(dir, ec);
+
+  char tmpl[] = "/tmp/alps-cluster-XXXXXX";
+  lock_fd = ::mkdtemp(tmpl) == nullptr
+                ? -1
+                : ::open(tmpl, O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const int err = errno;
+  if (lock_fd >= 0) ::flock(lock_fd, LOCK_EX);
+  ::close(guard);
+  if (lock_fd < 0) {
+    throw std::system_error(err, std::generic_category(), "mkdtemp");
+  }
+  return tmpl;
+}
+
 /// The driver's side of a cluster: the temp dir, the server processes
 /// (NodeIds 1..n) and the driver's own node (NodeId 0). The destructor
 /// SIGKILLs and reaps every server not yet reaped and removes the dir, so no
-/// exit path — early return, failed check, exception — leaks either.
+/// exit path — early return, failed check, exception — leaks either. A
+/// driver killed by a signal leaves its dir to the next run's sweep
+/// (make_run_dir).
 class Cluster {
  public:
   struct Stats {
@@ -209,12 +253,7 @@ class Cluster {
   /// after `attempt_timeout`.
   Cluster(int n, std::chrono::milliseconds attempt_timeout,
           bool sharded = false)
-      : sharded_(sharded) {
-    char tmpl[] = "/tmp/alps-cluster-XXXXXX";
-    if (::mkdtemp(tmpl) == nullptr) {
-      throw std::system_error(errno, std::generic_category(), "mkdtemp");
-    }
-    dir_ = tmpl;
+      : sharded_(sharded), dir_(make_run_dir(dir_lock_)) {
     net::RetryPolicy policy;
     policy.attempt_timeout = attempt_timeout;
     reliable.retry = policy;
@@ -398,9 +437,11 @@ class Cluster {
     transport_.reset();
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
+    if (dir_lock_ >= 0) ::close(std::exchange(dir_lock_, -1));
   }
 
   bool sharded_;
+  int dir_lock_ = -1;  ///< flock on dir_ (make_run_dir); declared before it
   std::string dir_;
   std::map<int, pid_t> pids_;  ///< started and not yet reaped
   std::optional<net::SocketTransport> transport_;
@@ -659,6 +700,9 @@ int shard() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A closed stderr pipe (`smoke 2>&1 | head`) must end in the normal
+  // teardown through EPIPE, not kill the driver before it removes its dir.
+  ::signal(SIGPIPE, SIG_IGN);
   const std::string mode = argc >= 2 ? argv[1] : "";
   try {
     if (mode == "serve" && argc == 5) {

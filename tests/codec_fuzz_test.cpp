@@ -61,8 +61,9 @@ TEST_P(CodecFuzz, RandomTreesRoundTripExactly) {
     for (std::uint64_t i = 0; i < n; ++i) {
       original.push_back(random_value(rng, 3));
     }
-    std::vector<std::uint8_t> buf;
-    encode_list(original, buf);
+    FrameBuilder fb;
+    encode_list(original, fb);
+    const std::vector<std::uint8_t> buf = fb.build();
     std::size_t pos = 0;
     ValueList decoded = decode_list(buf, pos);
     EXPECT_EQ(pos, buf.size());
@@ -74,8 +75,9 @@ TEST_P(CodecFuzz, EveryTruncationRejectedOrConsistent) {
   support::Rng rng(GetParam() + 1000);
   ValueList original;
   for (int i = 0; i < 4; ++i) original.push_back(random_value(rng, 2));
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(buf.begin(),
                                       buf.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -88,8 +90,9 @@ TEST_P(CodecFuzz, SingleByteCorruptionNeverCrashes) {
   support::Rng rng(GetParam() + 2000);
   ValueList original;
   for (int i = 0; i < 4; ++i) original.push_back(random_value(rng, 2));
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   for (int trial = 0; trial < 100; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());
@@ -165,8 +168,9 @@ TEST(CodecHostile, OversizedLengthAgainstOwnedFrameRejected) {
 }
 
 TEST(CodecHostile, OversizedHeaderStringRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_request_header(RequestHeader{1, 2, 3, 0, "Dict", "Get"}, buf);
+  FrameBuilder fb;
+  encode_request_header(RequestHeader{1, 2, 3, 0, "Dict", "Get"}, fb);
+  std::vector<std::uint8_t> buf = fb.build();
   // The object-name length prefix sits right after the four u64 fields.
   const std::size_t name_len_at = 1 + 8 * 4;
   buf[name_len_at + 3] = 0xFF;  // now claims a ~4 GB object name
@@ -178,8 +182,9 @@ TEST(CodecHostile, ZeroLengthStringAndBlobRoundTrip) {
   // Degenerate-but-legal payloads must survive, not be confused with the
   // hostile cases above.
   ValueList original{Value(std::string()), Value(Blob{})};
-  std::vector<std::uint8_t> buf;
-  encode_list(original, buf);
+  FrameBuilder fb;
+  encode_list(original, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   std::size_t pos = 0;
   ValueList decoded = decode_list(buf, pos);
   EXPECT_EQ(pos, buf.size());
@@ -195,7 +200,7 @@ TEST(CodecHostile, ZeroLengthBatchMemberRejected) {
   put_u32(buf, 0);  // ...of zero bytes (no type byte — meaningless)
   std::size_t pos = 1;
   try {
-    (void)decode_batch(buf, pos);
+    (void)decode_batch_slices(buf, pos);
     FAIL() << "empty batch member decoded";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kBadMessage);
@@ -203,8 +208,9 @@ TEST(CodecHostile, ZeroLengthBatchMemberRejected) {
 }
 
 TEST(CodecHostile, OversizedBatchMemberLengthRejected) {
-  std::vector<std::uint8_t> member;
-  encode_ack(5, member);
+  FrameBuilder ack;
+  encode_ack(5, ack);
+  const std::vector<std::uint8_t> member = ack.build();
   std::vector<std::uint8_t> buf;
   put_u8(buf, static_cast<std::uint8_t>(MsgType::kBatch));
   put_u32(buf, 1);
@@ -238,13 +244,14 @@ void decode_response_frame(const std::vector<std::uint8_t>& buf) {
 
 TEST_P(CodecFuzz, RequestFrameTruncationsRejected) {
   support::Rng rng(GetParam() + 3000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_request_header(RequestHeader{rng.next(), rng.next(), rng.next(),
                                       rng.next(), "Dictionary", "Insert"},
-                        buf);
+                        fb);
   ValueList params;
   for (int i = 0; i < 3; ++i) params.push_back(random_value(rng, 2));
-  encode_list(params, buf);
+  encode_list(params, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   ASSERT_NO_THROW(decode_request_frame(buf));
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
@@ -255,12 +262,13 @@ TEST_P(CodecFuzz, RequestFrameTruncationsRejected) {
 
 TEST_P(CodecFuzz, ResponseFrameTruncationsRejected) {
   support::Rng rng(GetParam() + 4000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_response_header(
-      ResponseHeader{rng.next(), WireCause::kOk, kResponseFlagReplayed}, buf);
+      ResponseHeader{rng.next(), WireCause::kOk, kResponseFlagReplayed}, fb);
   ValueList results;
   for (int i = 0; i < 2; ++i) results.push_back(random_value(rng, 2));
-  encode_list(results, buf);
+  encode_list(results, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   ASSERT_NO_THROW(decode_response_frame(buf));
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
@@ -270,8 +278,9 @@ TEST_P(CodecFuzz, ResponseFrameTruncationsRejected) {
 }
 
 TEST_P(CodecFuzz, AckTruncationsRejected) {
-  std::vector<std::uint8_t> buf;
-  encode_ack(GetParam() * 7919u, buf);
+  FrameBuilder fb;
+  encode_ack(GetParam() * 7919u, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   std::size_t pos = 1;  // past the type byte
   EXPECT_EQ(decode_ack(buf, pos), GetParam() * 7919u);
   for (std::size_t cut = 1; cut < buf.size(); ++cut) {
@@ -289,8 +298,9 @@ TEST_P(CodecFuzz, RequestHeaderSurvivesTheRoundTrip) {
   support::Rng rng(GetParam() + 5000);
   const RequestHeader original{rng.next(), rng.next(), rng.next(),
                                rng.next(), "Dict",     "Get"};
-  std::vector<std::uint8_t> buf;
-  encode_request_header(original, buf);
+  FrameBuilder fb;
+  encode_request_header(original, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   std::size_t pos = 1;  // past the type byte
   EXPECT_EQ(decode_request_header(buf, pos), original);
   EXPECT_EQ(pos, buf.size());
@@ -300,7 +310,6 @@ TEST_P(CodecFuzz, RequestHeaderSurvivesTheRoundTrip) {
 
 TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
   support::Rng rng(GetParam() + 6000);
-  std::vector<std::uint8_t> buf;
   // Shard hint + map epoch ride every redirect; half the seeds use the
   // "whole object re-homed" sentinel form.
   const std::uint32_t shard = (GetParam() % 2)
@@ -308,7 +317,9 @@ TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
                                   : static_cast<std::uint32_t>(rng.next() & 7);
   const WrongNodeHeader original{rng.next(), rng.next(), "Dictionary", shard,
                                  rng.next()};
-  encode_wrong_node(original, buf);
+  FrameBuilder fb;
+  encode_wrong_node(original, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   std::size_t pos = 0;
   ASSERT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kWrongNode));
   EXPECT_EQ(decode_wrong_node(buf, pos), original);
@@ -324,7 +335,7 @@ TEST_P(CodecFuzz, WrongNodeTruncationsRejected) {
 TEST_P(CodecFuzz, BatchTruncationsRejected) {
   support::Rng rng(GetParam() + 7000);
   // A realistic batch: an ack, a request and a response as members.
-  std::vector<std::vector<std::uint8_t>> members(3);
+  std::vector<FrameBuilder> members(3);
   encode_ack(rng.next(), members[0]);
   encode_request_header(RequestHeader{rng.next(), rng.next(), rng.next(),
                                       rng.next(), "Dict", "Get"},
@@ -333,27 +344,33 @@ TEST_P(CodecFuzz, BatchTruncationsRejected) {
   encode_response_header(ResponseHeader{rng.next(), WireCause::kOk, 0},
                          members[2]);
   encode_list(vals(2), members[2]);
-  std::vector<std::uint8_t> buf;
-  encode_batch(members, buf);
+  FrameBuilder fb;
+  encode_batch(members, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   std::size_t pos = 0;
   ASSERT_EQ(get_u8(buf, pos), static_cast<std::uint8_t>(MsgType::kBatch));
-  EXPECT_EQ(decode_batch(buf, pos), members);
+  const std::vector<Buffer> decoded = decode_batch_slices(buf, pos);
+  ASSERT_EQ(decoded.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(decoded[i].to_blob(), members[i].build()) << "member " << i;
+  }
   EXPECT_EQ(pos, buf.size());
   for (std::size_t cut = 1; cut < buf.size(); ++cut) {
     std::vector<std::uint8_t> shorter(
         buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(cut));
     pos = 1;
-    EXPECT_THROW(decode_batch(shorter, pos), Error) << "cut at " << cut;
+    EXPECT_THROW(decode_batch_slices(shorter, pos), Error) << "cut at " << cut;
   }
 }
 
 TEST_P(CodecFuzz, BatchCorruptionNeverCrashesNorOverallocates) {
   support::Rng rng(GetParam() + 8000);
-  std::vector<std::vector<std::uint8_t>> members(2);
+  std::vector<FrameBuilder> members(2);
   encode_ack(rng.next(), members[0]);
   encode_ack(rng.next(), members[1]);
-  std::vector<std::uint8_t> buf;
-  encode_batch(members, buf);
+  FrameBuilder fb;
+  encode_batch(members, fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());
@@ -362,7 +379,7 @@ TEST_P(CodecFuzz, BatchCorruptionNeverCrashesNorOverallocates) {
     try {
       // A corrupted count or member length must be caught by the
       // remaining-bytes validation, never turn into a huge allocation.
-      (void)decode_batch(corrupted, pos);
+      (void)decode_batch_slices(corrupted, pos);
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kBadMessage);
     }
@@ -371,10 +388,11 @@ TEST_P(CodecFuzz, BatchCorruptionNeverCrashesNorOverallocates) {
 
 TEST_P(CodecFuzz, HeaderCorruptionNeverCrashes) {
   support::Rng rng(GetParam() + 5000);
-  std::vector<std::uint8_t> buf;
+  FrameBuilder fb;
   encode_response_header(ResponseHeader{rng.next(), WireCause::kRemoteError, 0},
-                         buf);
-  encode_list(vals(std::string("boom")), buf);
+                         fb);
+  encode_list(vals(std::string("boom")), fb);
+  const std::vector<std::uint8_t> buf = fb.build();
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = buf;
     const auto at = rng.next_below(corrupted.size());

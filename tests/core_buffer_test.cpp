@@ -182,13 +182,14 @@ TEST(FrameBuilderTest, LargePayloadsRideAsSlicesSmallOnesInline) {
   EXPECT_EQ(fb.bytes_referenced(), 4096u);
   EXPECT_LT(fb.bytes_inline(), 2 * kZeroCopySliceThreshold);
 
-  // The gather must reproduce the eager vector encoding byte for byte.
-  std::vector<std::uint8_t> eager;
+  // The gather must reproduce the all-inline encoding byte for byte.
+  FrameBuilder eager;
   {
     ZeroCopyGuard off(false);
     net::encode_list({small, large}, eager);
   }
-  EXPECT_EQ(fb.build(), eager);
+  EXPECT_EQ(eager.bytes_referenced(), 0u);
+  EXPECT_EQ(fb.build(), eager.build());
 }
 
 TEST(FrameBuilderTest, CopyingABuilderSharesItsSlices) {
@@ -242,8 +243,9 @@ TEST(FrameBuilderTest, BuildFlushesDataPlaneCounters) {
 
 TEST(DecodeAliasing, MegabyteBlobRoundTripsAliasingTheFrame) {
   const Blob payload = pattern_blob(1 << 20);
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
 
   // Received frames are owned buffers; blob decode aliases them.
   Buffer frame = Buffer::adopt(std::move(wire));
@@ -263,8 +265,9 @@ TEST(DecodeAliasing, MegabyteBlobRoundTripsAliasingTheFrame) {
 
 TEST(DecodeAliasing, BorrowedInputsAlwaysMaterialize) {
   const Blob payload = pattern_blob(1 << 20);
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
 
   std::size_t pos = 0;
   ValueList out = net::decode_list(wire, pos);  // borrowed view input
@@ -278,8 +281,9 @@ TEST(DecodeAliasing, BorrowedInputsAlwaysMaterialize) {
 }
 
 TEST(DecodeAliasing, SmallBlobsCopyOutOfOwnedFrames) {
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(pattern_blob(kZeroCopySliceThreshold - 1))}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(pattern_blob(kZeroCopySliceThreshold - 1))}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
   Buffer frame = Buffer::adopt(std::move(wire));
   std::size_t pos = 0;
   ValueList out = net::decode_list(frame, pos);
@@ -291,8 +295,9 @@ TEST(DecodeAliasing, LargeStringsAliasOwnedFramesLikeBlobs) {
   // must alias the owned frame (bytes_referenced), exactly like blobs —
   // not memcpy into a fresh std::string (bytes_copied).
   const std::string payload(1 << 20, 'q');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
 
   auto& dp = support::data_plane();
   dp.reset();
@@ -322,8 +327,9 @@ TEST(DecodeAliasing, LargeStringsAliasOwnedFramesLikeBlobs) {
 
 TEST(DecodeAliasing, SmallStringsCopyOutOfOwnedFrames) {
   const std::string payload(kZeroCopySliceThreshold - 1, 's');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
   auto& dp = support::data_plane();
   dp.reset();
   Buffer frame = Buffer::adopt(std::move(wire));
@@ -338,8 +344,9 @@ TEST(DecodeAliasing, SmallStringsCopyOutOfOwnedFrames) {
 
 TEST(DecodeAliasing, BorrowedStringInputsAlwaysMaterialize) {
   const std::string payload(1 << 20, 'b');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
 
   std::size_t pos = 0;
   ValueList out = net::decode_list(wire, pos);  // borrowed view input
@@ -357,17 +364,18 @@ TEST(DecodeAliasing, AliasedStringsReencodeFromTheFrameWindow) {
   // referencing its frame window — round-trips byte-for-byte and never
   // materializes the std::string form.
   const std::string payload(1 << 18, 'f');
-  std::vector<std::uint8_t> wire;
-  net::encode_list({Value(payload)}, wire);
+  FrameBuilder fb;
+  net::encode_list({Value(payload)}, fb);
+  std::vector<std::uint8_t> wire = fb.build();
   Buffer frame = Buffer::adopt(std::move(wire));
   std::size_t pos = 0;
   ValueList out = net::decode_list(frame, pos);
 
   auto& dp = support::data_plane();
   dp.reset();
-  FrameBuilder fb;
-  net::encode_list(out, fb);
-  const auto rewire = fb.build();
+  FrameBuilder forward;
+  net::encode_list(out, forward);
+  const auto rewire = forward.build();
   EXPECT_EQ(dp.bytes_referenced.get(), std::uint64_t{1} << 18)
       << "forwarding references the original frame window";
   std::size_t pos2 = 0;
@@ -380,11 +388,7 @@ TEST(DecodeAliasing, AliasedStringsReencodeFromTheFrameWindow) {
 TEST(BatchAssembly, MixedSmallAndLargeMembersGatherOnce) {
   // An ack (tiny, pure arena) plus a request carrying a 256 KB blob.
   std::vector<FrameBuilder> members(2);
-  {
-    std::vector<std::uint8_t> ack;
-    net::encode_ack(99, ack);
-    members[0] = FrameBuilder::from_bytes(std::move(ack));
-  }
+  net::encode_ack(99, members[0]);
   const Blob payload = pattern_blob(1 << 18);
   net::encode_request_header(net::RequestHeader{7, 1, 0, 0, "Buf", "Put"},
                              members[1]);
@@ -423,16 +427,21 @@ TEST(BatchAssembly, MixedSmallAndLargeMembersGatherOnce) {
 }
 
 TEST(BatchAssembly, EnvelopeMatchesVectorEncodingByteForByte) {
-  std::vector<std::uint8_t> ack1, ack2;
-  net::encode_ack(1, ack1);
-  net::encode_ack(2, ack2);
+  std::vector<FrameBuilder> members(2);
+  net::encode_ack(1, members[0]);
+  net::encode_ack(2, members[1]);
 
+  // The wire layout written out by hand: type, count, then each member
+  // length-prefixed.
   std::vector<std::uint8_t> eager;
-  net::encode_batch(std::vector<std::vector<std::uint8_t>>{ack1, ack2}, eager);
+  net::put_u8(eager, static_cast<std::uint8_t>(net::MsgType::kBatch));
+  net::put_u32(eager, 2);
+  for (const auto& m : members) {
+    const std::vector<std::uint8_t> bytes = m.build();
+    net::put_u32(eager, static_cast<std::uint32_t>(bytes.size()));
+    eager.insert(eager.end(), bytes.begin(), bytes.end());
+  }
 
-  std::vector<FrameBuilder> members;
-  members.push_back(FrameBuilder::from_bytes(std::move(ack1)));
-  members.push_back(FrameBuilder::from_bytes(std::move(ack2)));
   FrameBuilder envelope;
   net::encode_batch(members, envelope);
   EXPECT_EQ(envelope.build(), eager);

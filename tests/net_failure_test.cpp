@@ -139,7 +139,7 @@ TEST(NetFailure, CancelledCallFailsTypedAndLateResponseIsDropped) {
 
 TEST(NetFailure, RandomLossEventuallyLosesFrames) {
   Rig rig;
-  rig.net.set_loss_probability(0.5);
+  rig.net.set_default_faults(LinkFaults{.drop = 0.5});
   int timeouts = 0, successes = 0;
   for (int i = 0; i < 20; ++i) {
     if (rig.remote
@@ -151,7 +151,7 @@ TEST(NetFailure, RandomLossEventuallyLosesFrames) {
     }
   }
   EXPECT_GT(timeouts, 0) << "50% loss must time out some calls";
-  rig.net.set_loss_probability(0.0);
+  rig.net.set_default_faults(LinkFaults{});
   EXPECT_EQ(rig.remote.call("Echo", vals(99), {}).value()[0].as_int(), 99);
   EXPECT_GT(rig.net.transport_stats().frames_lost, 0u);
 }
@@ -160,7 +160,7 @@ TEST(NetFailure, RetryPolicySucceedsUnderModerateLoss) {
   // The retry discipline the kernel now owns: retransmit with backoff, and
   // rely on server-side dedup instead of entry idempotence.
   Rig rig;
-  rig.net.set_loss_probability(0.3);
+  rig.net.set_default_faults(LinkFaults{.drop = 0.3});
   RetryPolicy retry;
   retry.attempt_timeout = std::chrono::milliseconds(15);
   retry.initial_backoff = std::chrono::milliseconds(2);
@@ -176,7 +176,7 @@ TEST(NetFailure, RetryPolicySucceedsUnderModerateLoss) {
 
 TEST(NetFailure, BoundedRetriesSurfaceTimeoutWithAttemptCount) {
   Rig rig;
-  rig.net.set_loss_probability(1.0);  // nothing gets through
+  rig.net.set_default_faults(LinkFaults{.drop = 1.0});  // nothing gets through
   RetryPolicy retry;
   retry.max_attempts = 3;
   retry.attempt_timeout = std::chrono::milliseconds(10);

@@ -50,7 +50,7 @@ TEST(NetFault, ThousandCallsSurviveDropAndPartitionExactlyOnce) {
   server.host(svc.obj);
   auto remote = client.remote(server.id(), "Counter");
 
-  net.set_loss_probability(0.20);
+  net.set_default_faults(LinkFaults{.drop = 0.20});
   // One scripted partition mid-run: cuts after 600 posted frames, heals
   // after 400 more (retransmissions drive the script forward, so the heal
   // always arrives).
@@ -145,17 +145,17 @@ struct RawRig {
 
   void post_request(std::uint64_t req_id, std::uint64_t epoch,
                     std::uint64_t ack, std::int64_t param) {
-    std::vector<std::uint8_t> payload;
+    FrameBuilder payload;
     encode_request_header(
         RequestHeader{req_id, epoch, ack, 0, "Counter", "Add"}, payload);
     encode_list(vals(param), payload);
-    net.post(Frame{raw, server.id(), std::move(payload)});
+    net.post(raw, server.id(), std::move(payload));
   }
 
   void post_ack(std::uint64_t ack_through) {
-    std::vector<std::uint8_t> payload;
+    FrameBuilder payload;
     encode_ack(ack_through, payload);
-    net.post(Frame{raw, server.id(), std::move(payload)});
+    net.post(raw, server.id(), std::move(payload));
   }
 
   /// Waits until `n` responses have arrived (entry bodies here complete

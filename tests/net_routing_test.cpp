@@ -181,7 +181,7 @@ TEST(Routing, RedirectedCallSurvivesLossExactlyOnce) {
   MigrationRig rig;
   ASSERT_TRUE(rig.client.call("Counter", "Add", vals(0)).ok());
   rig.migrate_to_b();
-  rig.net.set_loss_probability(0.20);
+  rig.net.set_default_faults(LinkFaults{.drop = 0.20});
 
   CallOptions opts;
   opts.retry = RetryPolicy{.attempt_timeout = std::chrono::milliseconds(20),
@@ -453,7 +453,8 @@ TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
     posted.emplace_back(dst, frame.build());
   });
   for (std::uint8_t i = 0; i < 8; ++i) {
-    batcher.enqueue(7, {static_cast<std::uint8_t>(MsgType::kAck), i});
+    batcher.enqueue(7, FrameBuilder::from_bytes(
+                           {static_cast<std::uint8_t>(MsgType::kAck), i}));
   }
   std::scoped_lock lock(mu);
   ASSERT_EQ(posted.size(), 2u);  // two size-bound flushes of 4
@@ -462,7 +463,7 @@ TEST(Batch, SizeBoundCoalescesAndPreservesFifo) {
     std::size_t pos = 0;
     EXPECT_EQ(get_u8(posted[b].second, pos),
               static_cast<std::uint8_t>(MsgType::kBatch));
-    const auto members = decode_batch(posted[b].second, pos);
+    const auto members = decode_batch_slices(posted[b].second, pos);
     ASSERT_EQ(members.size(), 4u);
     for (std::size_t m = 0; m < 4; ++m) {
       EXPECT_EQ(members[m][1], static_cast<std::uint8_t>(b * 4 + m))
@@ -486,7 +487,8 @@ TEST(Batch, SingleFrameFlushesRawWithoutEnvelope) {
     std::scoped_lock lock(mu);
     posted.push_back(frame.build());
   });
-  batcher.enqueue(1, {static_cast<std::uint8_t>(MsgType::kAck), 9});
+  batcher.enqueue(1, FrameBuilder::from_bytes(
+                         {static_cast<std::uint8_t>(MsgType::kAck), 9}));
   batcher.flush_all();
   std::scoped_lock lock(mu);
   ASSERT_EQ(posted.size(), 1u);
@@ -508,7 +510,8 @@ TEST(Batch, IntervalBoundFlushesWithoutHelp) {
     ++posted;
     cv.notify_all();
   });
-  batcher.enqueue(1, {static_cast<std::uint8_t>(MsgType::kAck), 1});
+  batcher.enqueue(1, FrameBuilder::from_bytes(
+                         {static_cast<std::uint8_t>(MsgType::kAck), 1}));
   std::unique_lock lock(mu);
   ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return posted > 0; }))
       << "the flusher thread must emit the frame after flush_interval";
@@ -554,7 +557,7 @@ TEST(Batch, DroppedBatchConvergesThroughRetry) {
   Node server(net, "server");
   CounterService svc;
   server.host(svc.obj);
-  net.set_loss_probability(0.20);
+  net.set_default_faults(LinkFaults{.drop = 0.20});
 
   BatchOptions bopts;
   bopts.max_frames = 8;
@@ -590,14 +593,14 @@ TEST(Batch, NestedBatchFrameIsRejectedWithoutCrash) {
 
   // A hostile frame: a batch containing a batch containing a request. The
   // dispatch layer must drop it at the nesting check, not recurse.
-  std::vector<std::uint8_t> request;
+  FrameBuilder request;
   encode_request_header(RequestHeader{1, 1, 0, 0, "Counter", "Add"}, request);
   encode_list(vals(1), request);
-  std::vector<std::uint8_t> inner;
+  FrameBuilder inner;
   encode_batch({request}, inner);
-  std::vector<std::uint8_t> outer;
+  FrameBuilder outer;
   encode_batch({inner}, outer);
-  net.post(Frame{raw, server.id(), std::move(outer)});
+  net.post(raw, server.id(), std::move(outer));
   net.wait_quiescent();
   EXPECT_EQ(svc.executions.load(), 0)
       << "nested batch members must not dispatch";
@@ -606,9 +609,9 @@ TEST(Batch, NestedBatchFrameIsRejectedWithoutCrash) {
   // raw sender has no Node to await the response on, and wait_quiescent only
   // drains the network queue — the body still runs asynchronously in the
   // serving kernel after the frame is consumed — so poll for the execution.
-  std::vector<std::uint8_t> flat;
+  FrameBuilder flat;
   encode_batch({request}, flat);
-  net.post(Frame{raw, server.id(), std::move(flat)});
+  net.post(raw, server.id(), std::move(flat));
   net.wait_quiescent();
   for (int spin = 0; spin < 2000 && svc.executions.load() == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
