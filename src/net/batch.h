@@ -40,9 +40,9 @@ struct BatchOptions {
 
 /// Buffers (dst, frame) pairs per destination and emits them through the
 /// supplied post function, coalesced into kBatch frames. Frames enter and
-/// leave as FrameBuilders, never as flat byte vectors. Thread-safe; a
-/// dedicated flusher thread enforces the interval bound, size-bound flushes
-/// happen inline on the enqueuing thread. The destructor flushes residue.
+/// leave as FrameBuilders. Thread-safe; a dedicated flusher thread enforces
+/// the interval bound, size-bound flushes happen inline on the enqueuing
+/// thread. The destructor flushes residue.
 class FrameBatcher {
  public:
   /// Flushes leave in scatter-gather form so the transport can keep the
